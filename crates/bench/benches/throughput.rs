@@ -10,9 +10,7 @@
 //! ```
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use probranch_pipeline::{
-    simulate, simulate_reference, DecodedProgram, PredictorChoice, SimConfig,
-};
+use probranch_pipeline::{DecodedProgram, EngineKind, PredictorChoice, SimConfig, Simulation};
 use probranch_workloads::{BenchmarkId, Scale};
 
 fn config(pbs: bool) -> SimConfig {
@@ -30,7 +28,8 @@ fn bench_engines(c: &mut Criterion) {
 
     c.bench_function("sim-throughput/fused/pi+pbs", |b| {
         b.iter(|| {
-            simulate(black_box(&pi), &config(true))
+            Simulation::new(EngineKind::Fused)
+                .run(black_box(&pi), &config(true))
                 .unwrap()
                 .timing
                 .cycles
@@ -38,7 +37,8 @@ fn bench_engines(c: &mut Criterion) {
     });
     c.bench_function("sim-throughput/reference/pi+pbs", |b| {
         b.iter(|| {
-            simulate_reference(black_box(&pi), &config(true))
+            Simulation::new(EngineKind::Reference)
+                .run(black_box(&pi), &config(true))
                 .unwrap()
                 .timing
                 .cycles
@@ -46,7 +46,8 @@ fn bench_engines(c: &mut Criterion) {
     });
     c.bench_function("sim-throughput/fused/bandit", |b| {
         b.iter(|| {
-            simulate(black_box(&bandit), &config(false))
+            Simulation::new(EngineKind::Fused)
+                .run(black_box(&bandit), &config(false))
                 .unwrap()
                 .timing
                 .cycles
@@ -54,7 +55,8 @@ fn bench_engines(c: &mut Criterion) {
     });
     c.bench_function("sim-throughput/reference/bandit", |b| {
         b.iter(|| {
-            simulate_reference(black_box(&bandit), &config(false))
+            Simulation::new(EngineKind::Reference)
+                .run(black_box(&bandit), &config(false))
                 .unwrap()
                 .timing
                 .cycles

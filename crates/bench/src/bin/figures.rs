@@ -26,7 +26,7 @@
 //!
 //! `--emit-bench-json PATH` switches to throughput-benchmark mode: runs
 //! the `sim-throughput` sweep (fig6 grid; fused, reference, replay and
-//! fused-convoy engines plus the shared-pool fig6+fig7 sweep), writes
+//! streamed-pair runs plus the shared-pool fig6+fig7 sweep), writes
 //! the measured-MIPS report as JSON to `PATH`, and prints the summary
 //! plus wall time to stderr. All timing lives behind this flag.
 
@@ -231,7 +231,7 @@ fn parse_args() -> Options {
 }
 
 fn usage(error: &str) -> ! {
-    let text = "usage: figures [--scale smoke|bench|paper] [--jobs N]\n               [--engine replay|convoy|fused|reference]\n               [--trace-dir DIR] [--trace-mem-budget BYTES]\n               [--fault-plan SPEC] [--strict-traces]\n               [--cell-retries N] [--cell-deadline-ms MS]\n               [--emit-bench-json PATH] [--serve ADDR]\n       --fault-plan SPEC: arm seeded failpoints for the run, e.g.\n        `seed=7,persist.write=0.5x3,cell.panic=0.2` (sites:\n        persist.write/.enospc/.short/.fsync/.rename, mmap.load,\n        capture, capture.block, cell.panic, cell.delay, cancel.spurious,\n        serve.accept/.read/.write/.drop; probability in [0,1],\n        optional xCOUNT budget). Decisions are pure functions of\n        (seed, site, salt), so a plan misbehaves identically across\n        reruns and worker counts. PROBRANCH_FAULTS holds a plan when\n        the flag is absent. The run either survives with\n        byte-identical stdout or exits 3 with a structured error\n        naming the exhausted cell.\n       --strict-traces: turn every degradation path (stale rejection,\n        quarantine, persistence shutdown, engine fallback) into a hard\n        structured error instead of self-healing.\n       --cell-retries N: extra attempts per supervised cell\n        (default 3: requested engine twice, then fused, then\n        reference).\n       --cell-deadline-ms MS: per-cell deadline; the simulation\n        engines poll a cancel token per chunk, so an overrunning cell\n        is cooperatively cancelled at its next poll point (a\n        structured DeadlineExceeded failure feeding the retry\n        cascade). Bodies that never poll still complete and are only\n        flagged on stderr.\n       (or set PROBRANCH_SCALE / PROBRANCH_JOBS; default: bench scale,\n        all cores; --jobs 0 also means all cores)\n       --engine: simulation engine for the timing sweeps (default:\n        replay — emulate each workload once per (workload, seed, PBS)\n        key into a run-wide trace pool shared by every sweep, and\n        re-time the pooled trace for every predictor/core/filter cell;\n        convoy regroups each sweep into streamed fused per-key convoys,\n        fused/reference re-simulate every cell — both for differential\n        debugging). All four print byte-identical tables.\n       --trace-dir DIR: persist captured traces under DIR, keyed by a\n        content hash of (workload, seed derivation, PBS/emulator\n        config, ISA version); later runs memory-map the files instead\n        of emulating (zero-copy record streams). Stale or corrupt files\n        fall back to capture; orphaned writer temp files and old\n        quarantined files are swept on open. stdout stays\n        byte-identical with or without the flag.\n       --trace-mem-budget BYTES: bound the in-memory trace pool\n        (optional k/m/g suffix, e.g. 64m). Over budget, the coldest\n        pooled traces are demoted to their mmap-backed persisted form\n        (with --trace-dir) or evicted and re-captured on next use.\n        stdout stays byte-identical for any budget.\n       --emit-bench-json PATH: run the sim-throughput sweep instead of\n        the figures, writing measured MIPS per cell (fused, reference,\n        replay and fused-convoy engines, per-key trace-capture\n        overhead, plus the shared-pool fig6+fig7 sweep aggregate) to\n        PATH (serial unless --jobs is given; all wall-clock timing\n        lives here)\n       --serve ADDR: run as the resilient sweep service instead of a\n        one-shot sweep — bind ADDR (e.g. 127.0.0.1:7633), answer\n        probranch-client requests over one shared trace pool with\n        admission control, request coalescing and per-request\n        cancellation deadlines; SIGINT/SIGTERM or a `shutdown` request\n        drains in-flight sweeps, flushes pending demotions, prints the\n        service counters and exits 0. Each section's bytes match the\n        in-process run exactly.";
+    let text = "usage: figures [--scale smoke|bench|paper] [--jobs N]\n               [--engine replay|fused|reference]\n               [--trace-dir DIR] [--trace-mem-budget BYTES]\n               [--fault-plan SPEC] [--strict-traces]\n               [--cell-retries N] [--cell-deadline-ms MS]\n               [--emit-bench-json PATH] [--serve ADDR]\n       --fault-plan SPEC: arm seeded failpoints for the run, e.g.\n        `seed=7,persist.write=0.5x3,cell.panic=0.2` (sites:\n        persist.write/.enospc/.short/.fsync/.rename, mmap.load,\n        capture, capture.block (block-compiled capture degrades to the\n        interpreter), cell.panic, cell.delay, cancel.spurious,\n        serve.accept/.read/.write/.drop; probability in [0,1],\n        optional xCOUNT budget). Decisions are pure functions of\n        (seed, site, salt), so a plan misbehaves identically across\n        reruns and worker counts. PROBRANCH_FAULTS holds a plan when\n        the flag is absent. The run either survives with\n        byte-identical stdout or exits 3 with a structured error\n        naming the exhausted cell.\n       --strict-traces: turn every degradation path (stale rejection,\n        quarantine, persistence shutdown, engine fallback) into a hard\n        structured error instead of self-healing.\n       --cell-retries N: extra attempts per supervised cell\n        (default 3: requested engine twice, then fused, then\n        reference).\n       --cell-deadline-ms MS: per-cell deadline; the simulation\n        engines poll a cancel token per chunk, so an overrunning cell\n        is cooperatively cancelled at its next poll point (a\n        structured DeadlineExceeded failure feeding the retry\n        cascade). Bodies that never poll still complete and are only\n        flagged on stderr.\n       (or set PROBRANCH_SCALE / PROBRANCH_JOBS; default: bench scale,\n        all cores; --jobs 0 also means all cores)\n       --engine: simulation engine for the timing sweeps (default:\n        replay — emulate each workload once per (workload, seed, PBS)\n        key into a run-wide trace pool shared by every sweep, and\n        re-time the pooled trace for every predictor/core/filter cell;\n        fused/reference re-simulate every cell — both for differential\n        debugging). All three print byte-identical tables.\n       --trace-dir DIR: persist captured traces under DIR, keyed by a\n        content hash of (workload, seed derivation, PBS/emulator\n        config, ISA version); later runs memory-map the files instead\n        of emulating (zero-copy record streams). Stale or corrupt files\n        fall back to capture; orphaned writer temp files and old\n        quarantined files are swept on open. stdout stays\n        byte-identical with or without the flag.\n       --trace-mem-budget BYTES: bound the in-memory trace pool\n        (optional k/m/g suffix, e.g. 64m). Over budget, the coldest\n        pooled traces are demoted to their mmap-backed persisted form\n        (with --trace-dir) or evicted and re-captured on next use.\n        stdout stays byte-identical for any budget.\n       --emit-bench-json PATH: run the sim-throughput sweep instead of\n        the figures, writing measured MIPS per cell (fused, reference,\n        replay and streamed-pair runs, per-key trace-capture\n        overhead, plus the shared-pool fig6+fig7 sweep aggregate) to\n        PATH (serial unless --jobs is given; all wall-clock timing\n        lives here)\n       --serve ADDR: run as the resilient sweep service instead of a\n        one-shot sweep — bind ADDR (e.g. 127.0.0.1:7633), answer\n        probranch-client requests over one shared trace pool with\n        admission control, request coalescing and per-request\n        cancellation deadlines; SIGINT/SIGTERM or a `shutdown` request\n        drains in-flight sweeps, flushes pending demotions, prints the\n        service counters and exits 0. Each section's bytes match the\n        in-process run exactly.";
     if error.is_empty() {
         println!("{text}");
         std::process::exit(0);
@@ -246,9 +246,6 @@ fn run_bench_json(path: &str, scale: ExperimentScale, jobs: Option<Jobs>) {
     // Serial by default: per-cell wall times on an otherwise idle
     // machine, not contention artifacts.
     let jobs = jobs.unwrap_or_else(Jobs::serial);
-    // Benchmark cells measure capture wall time; keep single-worker
-    // runs free of helper threads so the numbers stay contention-free.
-    probranch_pipeline::set_capture_overlap(jobs.get() > 1);
     eprintln!("sim-throughput: {} scale, {jobs} jobs", scale.name());
     let t0 = std::time::Instant::now();
     let report = throughput::measure(scale, jobs);
@@ -320,10 +317,6 @@ fn main() {
     }
     let scale = opts.scale;
     let jobs = opts.jobs.unwrap_or_else(Jobs::from_env);
-    // Single-worker runs stay single-threaded: the capture/drain
-    // overlap helper thread only spawns when the run is already
-    // parallel (PROBRANCH_CAPTURE_OVERLAP overrides either way).
-    probranch_pipeline::set_capture_overlap(jobs.get() > 1);
     let engine = opts.engine;
     let mut supervision = Supervision::default_robust();
     if let Some(r) = opts.cell_retries {

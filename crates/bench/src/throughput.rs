@@ -1,8 +1,8 @@
 //! The `sim-throughput` benchmark: simulator speed (MIPS — millions of
 //! simulated instructions per wall-clock second) per
 //! workload × predictor × PBS cell, for the fused engine, the unfused
-//! reference engine, the shared-trace **replay** engine and the fused
-//! **convoy** engine.
+//! reference engine, the shared-trace **replay** engine and the
+//! **streamed pair** run (the `convoy_*` fields).
 //!
 //! This is the perf trajectory of the project: `figures
 //! --emit-bench-json BENCH_throughput.json` serializes a report whose
@@ -22,12 +22,12 @@
 //!   batched-prediction chunk drain in isolation, without the first
 //!   replay's cold-trace effects. This is the per-cell batched-TAGE
 //!   MIPS figure the throughput gate tracks across PRs;
-//! * `convoy` — the cell's equal share of its key's **streamed fused
-//!   convoy** (`EngineKind::Convoy`: capture and all consumers in
-//!   lockstep, capture time included), the bounded-memory execution
-//!   shape. A fused convoy advances all k consumers per record, so
-//!   per-consumer time is not separable — the share is the key's wall
-//!   time over k.
+//! * `convoy` — the cell's equal share of its key's **streamed pair
+//!   run** (`Simulation::run_many` under the default replay engine: one
+//!   capture streamed chunk by chunk through both predictors' consumers,
+//!   capture time included), the bounded-memory execution shape. The
+//!   pair drain advances both consumers per record, so per-consumer
+//!   time is not separable — the share is the key's wall time over 2.
 //!
 //! The report also carries the **sweep** section: the fig6 + fig7
 //! grids run back to back through one shared
@@ -38,13 +38,15 @@
 //!
 //! Measurements are wall-clock and therefore machine-dependent; the
 //! *results* of every timed run are still checked for engine agreement
-//! (each cell asserts the fused, reference, replay and convoy reports
+//! (each cell asserts the fused, reference, replay and streamed reports
 //! are identical), so a throughput run doubles as an equivalence sweep.
 
 use std::time::{Duration, Instant};
 
 use probranch_harness::{run_cells_timed, workload_seed, Cell, Jobs};
-use probranch_pipeline::{DynTrace, PredictorChoice, SimConfig, SimReport, Simulation};
+use probranch_pipeline::{
+    DynTrace, PredictorChoice, SimConfig, SimReport, Simulation, TraceStream,
+};
 use probranch_workloads::BenchmarkId;
 
 use crate::experiments::{self, Engine, ExperimentScale};
@@ -102,8 +104,8 @@ pub struct ThroughputCell {
     /// Wall time of a second, cache-warm replay of the same cell: the
     /// batched-prediction chunk drain in isolation.
     pub batched: Duration,
-    /// This cell's equal share of its key's streamed fused convoy
-    /// (capture *included*; a fused loop has no per-consumer split).
+    /// This cell's equal share of its key's streamed pair run (capture
+    /// *included*; the pair drain has no per-consumer split).
     pub convoy: Duration,
     /// Heap bytes of the key's materialized trace backing this cell's
     /// replay.
@@ -136,7 +138,7 @@ impl ThroughputCell {
     }
 
     /// Millions of simulated instructions per second through this
-    /// cell's share of the fused convoy (capture included).
+    /// cell's share of the streamed pair run (capture included).
     pub fn convoy_mips(&self) -> f64 {
         mips(self.instructions, self.convoy)
     }
@@ -159,10 +161,9 @@ pub struct CaptureCell {
     /// Wall time of the trace capture (emulation, cache pre-simulation
     /// and SoA packing).
     pub capture: Duration,
-    /// Which capture tier executed the key: `"generated"` (native
-    /// fragments + block bodies), `"block"` (block-compiled only) or
-    /// `"interp"` (the decoded interpreter) — see
-    /// [`probranch_pipeline::capture_tier`].
+    /// How the key's capture executed: `"block"` (block-compiled) or
+    /// `"interp"` (the decoded interpreter), as the capture's
+    /// [`TraceStream::is_block_compiled`] reported.
     pub capture_tier: &'static str,
 }
 
@@ -310,7 +311,7 @@ impl ThroughputReport {
         )
     }
 
-    /// Aggregate fused-convoy MIPS (capture shares included — convoy
+    /// Aggregate streamed-pair MIPS (capture shares included — those
     /// cell times already carry their key's capture).
     pub fn convoy_mips(&self) -> f64 {
         mips(
@@ -508,7 +509,7 @@ const PREDICTORS: [PredictorChoice; 2] = [PredictorChoice::Tournament, Predictor
 
 /// The Figure 6 measurement grid: every benchmark under each
 /// [`PREDICTORS`] entry, without and with PBS — derived from the same
-/// predictor list the replay convoy consumes, so the two orderings
+/// predictor list the streamed pair run consumes, so the two orderings
 /// cannot drift.
 pub fn grid() -> Vec<Cell> {
     BenchmarkId::ALL
@@ -530,10 +531,10 @@ fn keys() -> Vec<(BenchmarkId, bool)> {
         .collect()
 }
 
-/// One key's timed replay + convoy measurements: one timed capture
+/// One key's timed replay + streamed measurements: one timed capture
 /// into a materialized trace, one timed replay plus one timed
 /// cache-warm second replay per predictor over it, and one timed
-/// streamed fused convoy of both predictors.
+/// streamed pair run of both predictors.
 struct KeyMeasurement {
     name: &'static str,
     capture: Duration,
@@ -545,7 +546,7 @@ struct KeyMeasurement {
     /// Per predictor (in [`PREDICTORS`] order): the replay report, its
     /// replay wall time, and the warm second replay's wall time.
     cells: Vec<(SimReport, Duration, Duration)>,
-    /// The convoy's reports, in the same order.
+    /// The streamed run's reports, in the same order.
     convoy_reports: Vec<SimReport>,
 }
 
@@ -563,9 +564,14 @@ fn run_key(workload: BenchmarkId, pbs: bool, scale: ExperimentScale) -> KeyMeasu
         })
         .collect();
     // Materialized-trace path: capture once, re-time per predictor.
-    let capture_tier = probranch_pipeline::capture_tier(&program, &configs[0]);
     let t0 = Instant::now();
-    let trace = DynTrace::capture(&program, &configs[0])
+    let stream = TraceStream::new(&program, &configs[0]);
+    let capture_tier = if stream.is_block_compiled() {
+        "block"
+    } else {
+        "interp"
+    };
+    let trace = DynTrace::capture_stream(stream, &configs[0])
         .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
     let capture = t0.elapsed();
     let replay = Simulation::new(Engine::Replay);
@@ -593,9 +599,9 @@ fn run_key(workload: BenchmarkId, pbs: bool, scale: ExperimentScale) -> KeyMeasu
             (report, replay_dur, batched_dur)
         })
         .collect();
-    // Streamed fused convoy of the same cells.
+    // One capture streamed through both cells.
     let t3 = Instant::now();
-    let convoy_reports = Simulation::new(Engine::Convoy)
+    let convoy_reports = Simulation::default()
         .run_many(&program, &configs)
         .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
     let convoy = t3.elapsed();
@@ -650,12 +656,12 @@ fn run_sweep(scale: ExperimentScale, per_cell_instructions: u64) -> SweepStats {
 /// Measures the fig6 grid at `scale`: per cell, wall time of one fused
 /// and one reference full-timing simulation of the same workload
 /// instance, a per-key timed capture with per-cell timed replays, and a
-/// per-key streamed fused convoy — asserting that all four engines
-/// return identical reports — plus the shared-pool fig6+fig7 sweep.
+/// per-key streamed pair run — asserting that all four return
+/// identical reports — plus the shared-pool fig6+fig7 sweep.
 ///
 /// Fused/reference cells run through [`run_cells_timed`]; pass
 /// [`Jobs::serial`] (the `figures --emit-bench-json` default) for
-/// uncontended numbers. The replay/convoy measurements and the sweep
+/// uncontended numbers. The replay/streamed measurements and the sweep
 /// run serially regardless.
 ///
 /// # Panics
@@ -668,7 +674,7 @@ pub fn measure(scale: ExperimentScale, jobs: Jobs) -> ThroughputReport {
     // engine systematically runs on a warmer allocator.
     let fused = run_cells_timed(&cells, jobs, |cell| run_engine(cell, scale, false));
     let reference = run_cells_timed(&cells, jobs, |cell| run_engine(cell, scale, true));
-    // Replay + convoy pass: one measurement per emulation key.
+    // Replay + streamed pass: one measurement per emulation key.
     let mut captures = Vec::new();
     let mut replay_cells = Vec::new();
     for (workload, pbs) in keys() {
@@ -686,7 +692,7 @@ pub fn measure(scale: ExperimentScale, jobs: Jobs) -> ThroughputReport {
         {
             assert_eq!(
                 report, convoy_report,
-                "replay and convoy engines disagree on {workload:?} pbs={pbs} {:?}",
+                "replay and streamed runs disagree on {workload:?} pbs={pbs} {:?}",
                 PREDICTORS[i]
             );
             replay_cells.push((
@@ -812,17 +818,14 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"schema\": \"probranch-throughput/8\""));
         // Every capture cell carries its tier tag; the paper kernels
-        // all hit a compiled tier at smoke scale (no interp cells).
+        // all capture block-compiled at smoke scale (no interp cells).
         assert_eq!(
             json.lines()
                 .filter(|l| l.contains("\"capture_tier\":\""))
                 .count(),
             16
         );
-        assert!(report
-            .captures
-            .iter()
-            .all(|c| matches!(c.capture_tier, "generated" | "block" | "interp")));
+        assert!(report.captures.iter().all(|c| c.capture_tier == "block"));
         assert!(json.contains("\"service_requests\""));
         assert!(json.contains("\"service_coalesced\""));
         assert!(json.contains("\"service_shed\""));

@@ -1259,7 +1259,7 @@ mod tests {
 
     #[test]
     fn trace_cache_captures_once_and_is_shared_across_threads() {
-        use probranch_pipeline::{simulate_replay, DynTrace, SimConfig};
+        use probranch_pipeline::{DynTrace, SimConfig, Simulation};
         use probranch_workloads::{BenchmarkId as B, Scale};
 
         let cache: TraceCache<(B, u64, bool)> = TraceCache::new();
@@ -1272,7 +1272,9 @@ mod tests {
             let trace = cache
                 .get_or_capture(key, || DynTrace::capture(&program, &SimConfig::default()))
                 .expect("capture");
-            simulate_replay(&trace, &SimConfig::default()).expect("replay")
+            Simulation::default()
+                .replay(&trace, &SimConfig::default())
+                .expect("replay")
         });
         assert!(cache.len() <= 2 && !cache.is_empty());
         assert!(cache.bytes() > 0);
@@ -1283,7 +1285,7 @@ mod tests {
 
     #[test]
     fn engine_context_pools_across_sweeps_and_counts_captures() {
-        use probranch_pipeline::{simulate_replay, DynTrace, SimConfig};
+        use probranch_pipeline::{DynTrace, SimConfig, Simulation};
         use probranch_workloads::{BenchmarkId as B, Scale};
 
         let ctx: EngineContext<(B, u64, bool)> = EngineContext::new();
@@ -1299,7 +1301,7 @@ mod tests {
                 let trace = ctx
                     .get_or_capture(key, hash, &cfg, || DynTrace::capture(&program, &cfg))
                     .expect("capture");
-                simulate_replay(&trace, &cfg).expect("replay")
+                Simulation::default().replay(&trace, &cfg).expect("replay")
             });
             for r in &reports[1..] {
                 assert_eq!(r, &reports[0]);
@@ -1314,7 +1316,7 @@ mod tests {
 
     #[test]
     fn engine_context_trace_dir_round_trips_and_survives_corruption() {
-        use probranch_pipeline::{simulate_replay, DynTrace, SimConfig};
+        use probranch_pipeline::{DynTrace, SimConfig, Simulation};
         use probranch_workloads::{BenchmarkId as B, Scale};
 
         let dir = std::env::temp_dir().join(format!("probranch-ctx-traces-{}", std::process::id()));
@@ -1327,7 +1329,7 @@ mod tests {
             let trace = ctx
                 .get_or_capture(key, hash, &cfg, || DynTrace::capture(&program, &cfg))
                 .expect("capture");
-            simulate_replay(&trace, &cfg).expect("replay")
+            Simulation::default().replay(&trace, &cfg).expect("replay")
         };
 
         // Cold: captures and persists.
@@ -1423,7 +1425,7 @@ mod tests {
 
     #[test]
     fn bounded_pool_evicts_but_never_changes_results() {
-        use probranch_pipeline::{simulate_replay, DynTrace, SimConfig};
+        use probranch_pipeline::{DynTrace, SimConfig, Simulation};
         use probranch_workloads::{BenchmarkId as B, Scale};
 
         let cfg = SimConfig::default();
@@ -1447,7 +1449,7 @@ mod tests {
                         DynTrace::capture(&programs[s as usize], &cfg)
                     })
                     .expect("capture");
-                simulate_replay(&trace, &cfg).expect("replay")
+                Simulation::default().replay(&trace, &cfg).expect("replay")
             })
         };
         let unbounded: EngineContext<(B, u64, bool)> = EngineContext::new();
@@ -1479,7 +1481,7 @@ mod tests {
 
     #[test]
     fn bounded_pool_with_trace_dir_demotes_to_mapped_form() {
-        use probranch_pipeline::{simulate_replay, DynTrace, SimConfig};
+        use probranch_pipeline::{DynTrace, SimConfig, Simulation};
         use probranch_workloads::{BenchmarkId as B, Scale};
 
         let dir =
@@ -1503,7 +1505,7 @@ mod tests {
                         DynTrace::capture(&programs[s as usize], &cfg)
                     })
                     .expect("capture");
-                simulate_replay(&trace, &cfg).expect("replay")
+                Simulation::default().replay(&trace, &cfg).expect("replay")
             })
         };
         let unbounded: EngineContext<(B, u64, bool)> = EngineContext::new();

@@ -232,6 +232,9 @@ fn transient_write_faults_are_retried_to_success() {
         "the retried persist must have published"
     );
     drop(_scope);
+    // Keep holding the plan lock, fault-free: a sibling test's armed
+    // budget must not be spent by this load.
+    let _quiesce = faults::ScopedPlan::install(faults::FaultPlan::default());
     // And the published file round-trips byte-identically.
     let warm_ctx = Ctx::with_trace_dir(&dir);
     let warm = run(&warm_ctx, &program, &cfg, hash);
@@ -245,7 +248,10 @@ fn transient_load_faults_are_retried_to_success() {
     let dir = tempdir("transient-load");
     let (program, cfg, hash) = fixture();
     let seed_ctx = Ctx::with_trace_dir(&dir);
-    let clean = run(&seed_ctx, &program, &cfg, hash);
+    let clean = {
+        let _quiesce = faults::ScopedPlan::install(faults::FaultPlan::default());
+        run(&seed_ctx, &program, &cfg, hash)
+    };
 
     let _scope = faults::ScopedPlan::install(faults::FaultPlan::seeded(5).arm_capped(
         faults::Site::MmapLoad,

@@ -16,22 +16,12 @@
 //!   (`TraceChunk::begin_fill`) instead of per-record pushes: zero
 //!   istalls (see the warmth rule below), zero branch bytes, and dlats
 //!   patched in from the loads the body actually executed;
-//! * the terminator (branch/call/ret/halt/`PROB_JMP`) and every *rare*
-//!   op (PBS probes, `out`) fall back to `step_decoded`, so branch
-//!   events, PBS observation, call-stack faults and probabilistic
-//!   resolution reuse the interpreter's code paths verbatim;
-//! * on top, **fragment-matched native specializations** (the
-//!   `generated` tier): the workload library's inline RNG sequences —
-//!   the xorshift64\* step, the `[0,1)` conversion, the Box–Muller
-//!   tail — are structurally pattern-matched at block-build time and
-//!   executed as straight-line host Rust, bit-identical to the op
-//!   datapath (same `f64` operations in the same order);
-//! * above blocks, **whole-loop specializations** ([`ArgmaxLoop`]):
-//!   hot inner loops that the block engine would chop into several
-//!   tiny blocks per iteration are fingerprinted at compile time and
-//!   executed iteration-at-a-time as native Rust, emitting the same
-//!   records, branch bytes, PBS observations and fault behavior
-//!   through the same cursor writer.
+//! * the terminator (branch/call/ret/`PROB_JMP`) executes inline
+//!   through the emulator's shared condition, stack and resolution
+//!   datapaths, while `halt` and every *rare* op (`out`) fall back to
+//!   `step_decoded`, so branch events, PBS observation, call-stack
+//!   faults and probabilistic resolution cannot drift from the
+//!   interpreter.
 //!
 //! # Warmth rule (byte-identity of the fast path)
 //!
@@ -55,204 +45,27 @@
 //! cancellation token every [`CANCEL_STRIDE`](crate::cancel::CANCEL_STRIDE)
 //! instructions, same as the fused engine.
 //!
-//! # Tier selection
+//! # When blocks run
 //!
-//! [`CaptureTier`] pick order: a per-thread override
-//! ([`with_capture_tier`], for equivalence tests) beats the
-//! `PROBRANCH_CAPTURE` environment variable
-//! (`auto`/`generated`/`block`/`interp`, read once) beats the default
-//! (`generated`). The `capture.block` failpoint degrades a block-tier
-//! capture to the interpreter at `TraceStream` construction — torture
-//! runs prove the degradation is byte-invisible.
+//! Capture runs block-compiled whenever it can: the program must be
+//! L1-I-resident (the warmth rule above), and the `capture.block`
+//! failpoint, when it fires, degrades the capture to the
+//! per-instruction interpreter at `TraceStream` construction — torture
+//! runs prove the degradation is byte-invisible. The interpreter also
+//! stays reachable explicitly (`DynTrace::capture_interpreted`) as the
+//! reference the capture proptests compare block capture against.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
-
-use probranch_isa::{AluOp, CmpOp, FpBinOp, FpUnOp, Program, Reg};
+use probranch_isa::{CmpOp, Reg};
 
 use crate::cache::MemoryHierarchy;
 use crate::cancel::CANCEL_STRIDE;
 use crate::decode::{DecOp, DecodedProgram, InstTiming};
-use crate::machine::{alu_eval, fp_bin_eval, BranchEvent, BranchEventKind, EmuError, Emulator};
-use crate::sim::SimConfig;
+use crate::machine::{BranchEvent, BranchEventKind, EmuError, Emulator};
 use crate::trace::{
     encode_branch, record_costs, ChunkWriter, TraceChunk, TraceStream, TRACE_CHUNK_RECORDS,
 };
 
-/// How trace capture executes the guest program.
-///
-/// Every tier is byte-identical — same chunks, same errors at the same
-/// dynamic instruction, same architectural results — locked by the
-/// capture-tier proptests and the CI engine-diff matrix. Tiers differ
-/// only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CaptureTier {
-    /// Block-compiled execution with fragment-matched native
-    /// specializations for the workload RNG sequences (the default and
-    /// fastest tier).
-    Generated,
-    /// Block-compiled execution without native fragments.
-    Block,
-    /// The per-instruction decoded interpreter.
-    Interp,
-}
-
-impl CaptureTier {
-    /// The tier's tag in throughput reports
-    /// (`BENCH_throughput.json` v8): `generated`/`block`/`interp`.
-    pub fn tag(self) -> &'static str {
-        match self {
-            CaptureTier::Generated => "generated",
-            CaptureTier::Block => "block",
-            CaptureTier::Interp => "interp",
-        }
-    }
-}
-
-fn env_tier() -> CaptureTier {
-    static TIER: OnceLock<CaptureTier> = OnceLock::new();
-    *TIER.get_or_init(|| match std::env::var("PROBRANCH_CAPTURE") {
-        Err(_) => CaptureTier::Generated,
-        Ok(v) => match v.as_str() {
-            "" | "auto" | "generated" => CaptureTier::Generated,
-            "block" => CaptureTier::Block,
-            "interp" => CaptureTier::Interp,
-            other => panic!("PROBRANCH_CAPTURE must be auto|generated|block|interp, got {other:?}"),
-        },
-    })
-}
-
-thread_local! {
-    static FORCED_TIER: Cell<Option<CaptureTier>> = const { Cell::new(None) };
-}
-
-/// Runs `f` with the capture tier forced to `tier` on this thread —
-/// the hook the tier-equivalence tests use to capture the same key
-/// under every tier regardless of environment. Restores the previous
-/// override on exit (including on panic/early return).
-pub fn with_capture_tier<R>(tier: CaptureTier, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<CaptureTier>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCED_TIER.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(FORCED_TIER.with(|c| c.replace(Some(tier))));
-    f()
-}
-
-/// The tier new [`TraceStream`]s select blocks under (thread override,
-/// else environment, else `Generated`).
-pub(crate) fn selected_tier() -> CaptureTier {
-    FORCED_TIER.with(|c| c.get()).unwrap_or_else(env_tier)
-}
-
-/// The tier a capture of `program` under `config` would actually run
-/// at, as a report tag: `generated` only when at least one RNG
-/// fragment matched, `block` when blocks compiled without fragments,
-/// `interp` when the tier selection or the L1-I-residency precondition
-/// forces the interpreter. (Failpoint degradation is not consulted —
-/// bench reports are measured without fault plans.)
-pub fn capture_tier(program: &Program, config: &SimConfig) -> &'static str {
-    let tier = selected_tier();
-    if tier == CaptureTier::Interp {
-        return CaptureTier::Interp.tag();
-    }
-    let decoded = DecodedProgram::of(program);
-    if !l1i_resident(decoded.len()) {
-        return CaptureTier::Interp.tag();
-    }
-    let _ = config;
-    let compiled = BlockProgram::compile(&decoded, tier == CaptureTier::Generated);
-    if compiled.compiled_blocks() == 0 {
-        CaptureTier::Interp.tag()
-    } else if compiled.has_native() {
-        CaptureTier::Generated.tag()
-    } else {
-        CaptureTier::Block.tag()
-    }
-}
-
-/// Whether a program of `n_insts` static instructions satisfies the
-/// L1-I-residency argument `TraceStream` sizes `itouched` with.
-pub(crate) fn l1i_resident(n_insts: usize) -> bool {
-    let presim = MemoryHierarchy::default();
-    let pcs_per_line = (presim.l1i().line_bytes() / 8).max(1);
-    n_insts.div_ceil(pcs_per_line) <= presim.l1i().capacity_lines()
-}
-
-// --- capture/drain overlap switch -----------------------------------
-
-/// 0 = unset (default on), 1 = forced on, 2 = forced off.
-static OVERLAP: AtomicU8 = AtomicU8::new(0);
-
-/// Enables or disables the chunk-pipelined capture/drain overlap for
-/// convoy runs (capture chunk `N+1` on a helper thread while consumers
-/// drain chunk `N`). The harness calls this with `jobs > 1` so a
-/// single-job run degrades to the serial fill loop. The
-/// `PROBRANCH_CAPTURE_OVERLAP` environment variable (`0`/`1`), read
-/// once, wins over this switch — that is how CI diffs pipelined
-/// against serial byte-for-byte.
-pub fn set_capture_overlap(enabled: bool) {
-    OVERLAP.store(if enabled { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Whether convoy capture currently overlaps capture and drain (see
-/// [`set_capture_overlap`]).
-pub fn capture_overlap() -> bool {
-    static ENV: OnceLock<Option<bool>> = OnceLock::new();
-    let env = *ENV.get_or_init(|| match std::env::var("PROBRANCH_CAPTURE_OVERLAP") {
-        Err(_) => None,
-        Ok(v) => match v.as_str() {
-            "" => None,
-            "0" | "off" | "serial" => Some(false),
-            "1" | "on" | "pipelined" => Some(true),
-            other => panic!("PROBRANCH_CAPTURE_OVERLAP must be 0 or 1, got {other:?}"),
-        },
-    });
-    if let Some(forced) = env {
-        return forced;
-    }
-    OVERLAP.load(Ordering::Relaxed) != 2
-}
-
 // --- block program ---------------------------------------------------
-
-/// A fragment-matched native specialization: executes a straight-line
-/// span of guest ops as host Rust against the register file.
-pub(crate) type NativeFn = fn(&mut [u64; 32], [u8; 6]);
-
-/// One step of a compiled block body.
-pub(crate) enum BodyStep {
-    /// One straight-line decoded op, executed by the shared datapath
-    /// ([`Emulator::exec_straight_op`]).
-    Op(DecOp),
-    /// A native fragment covering `len` consecutive pcs (pure register
-    /// dataflow: no memory, flag or PBS effects).
-    Native {
-        /// The specialized step function.
-        fun: NativeFn,
-        /// Register slots, resolved at block-build time (trailing slots
-        /// unused by shorter fragments are zero).
-        args: [u8; 6],
-        /// Guest instructions (== records) the fragment covers.
-        len: u32,
-    },
-}
-
-impl std::fmt::Debug for BodyStep {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BodyStep::Op(op) => f.debug_tuple("Op").field(op).finish(),
-            BodyStep::Native { args, len, .. } => f
-                .debug_struct("Native")
-                .field("args", args)
-                .field("len", len)
-                .finish(),
-        }
-    }
-}
 
 /// A block terminator, predecoded at block-build time.
 ///
@@ -331,9 +144,8 @@ pub(crate) enum Term {
 pub(crate) struct CompiledBlock {
     /// Leader pc; body records cover `start_pc..start_pc + body_len`.
     pub(crate) start_pc: u32,
-    /// The straight-line body. Every step advances the pc by its
-    /// record count; no intra-block control.
-    pub(crate) body: Vec<BodyStep>,
+    /// The straight-line body, one op per pc; no intra-block control.
+    pub(crate) body: Vec<DecOp>,
     /// Records the body contributes (== static body length in guest
     /// instructions).
     pub(crate) body_len: u32,
@@ -341,9 +153,6 @@ pub(crate) struct CompiledBlock {
     /// `None` when the block ends at a leader or rare-op boundary
     /// instead.
     pub(crate) term: Option<Term>,
-    /// A whole-loop specialization headed at this block's leader, when
-    /// the fingerprint matched (`generated` tier only).
-    pub(crate) spec: Option<ArgmaxLoop>,
 }
 
 impl CompiledBlock {
@@ -365,7 +174,6 @@ pub(crate) struct BlockProgram {
     /// or a lone terminator),
     /// [`NO_BLOCK`] everywhere else.
     index: Vec<u32>,
-    has_native: bool,
 }
 
 /// Control ops terminate a block and execute via `step_decoded` (branch
@@ -450,9 +258,7 @@ impl BlockProgram {
     /// the entry, every branch/call target, and the pc after every
     /// control or rare op; a body extends from its leader to the next
     /// control op (terminator), rare op, leader or program end.
-    /// `allow_native` additionally pattern-matches the workload RNG
-    /// fragments (the `generated` tier).
-    pub(crate) fn compile(decoded: &DecodedProgram, allow_native: bool) -> BlockProgram {
+    pub(crate) fn compile(decoded: &DecodedProgram) -> BlockProgram {
         let insts = decoded.insts();
         let n = insts.len();
         let mut leader = vec![false; n];
@@ -476,7 +282,6 @@ impl BlockProgram {
 
         let mut blocks = Vec::new();
         let mut index = vec![NO_BLOCK; n];
-        let mut has_native = false;
         let mut start = 0usize;
         while start < n {
             if !leader[start] {
@@ -510,59 +315,21 @@ impl BlockProgram {
                         body: Vec::new(),
                         body_len: 0,
                         term: Some(lower_term(&insts[end].op)),
-                        spec: None,
                     });
                 }
                 start += 1;
                 continue;
             }
-            let mut body = Vec::with_capacity(end - start);
-            let ops: Vec<DecOp> = insts[start..end].iter().map(|d| d.op).collect();
-            let mut i = 0;
-            while i < ops.len() {
-                if allow_native {
-                    if let Some((fun, args, len)) = match_fragment(&ops[i..]) {
-                        body.push(BodyStep::Native { fun, args, len });
-                        has_native = true;
-                        i += len as usize;
-                        continue;
-                    }
-                }
-                body.push(BodyStep::Op(ops[i]));
-                i += 1;
-            }
             index[start] = blocks.len() as u32;
             blocks.push(CompiledBlock {
                 start_pc: start as u32,
-                body,
+                body: insts[start..end].iter().map(|d| d.op).collect(),
                 body_len: (end - start) as u32,
                 term: has_term.then(|| lower_term(&insts[end].op)),
-                spec: None,
             });
             start = end;
         }
-        if allow_native {
-            // Whole-loop fingerprints attach to the loop-head leader's
-            // block; the loop's interior blocks stay compiled as-is so
-            // mid-loop resume points (budget tails, post-fault pcs)
-            // still dispatch generically.
-            for p in 0..n {
-                let i = index[p];
-                if i == NO_BLOCK || p + ARGMAX_LEN > n {
-                    continue;
-                }
-                let window: [DecOp; ARGMAX_LEN] = std::array::from_fn(|j| insts[p + j].op);
-                if let Some(spec) = match_argmax(&window, p as u32) {
-                    blocks[i as usize].spec = Some(spec);
-                    has_native = true;
-                }
-            }
-        }
-        BlockProgram {
-            blocks,
-            index,
-            has_native,
-        }
+        BlockProgram { blocks, index }
     }
 
     /// The compiled block whose leader is `pc`, if any (unit-test
@@ -590,11 +357,6 @@ impl BlockProgram {
     pub(crate) fn compiled_blocks(&self) -> usize {
         self.blocks.len()
     }
-
-    /// Whether any block carries a fragment-matched native step.
-    pub(crate) fn has_native(&self) -> bool {
-        self.has_native
-    }
 }
 
 // --- block execution -------------------------------------------------
@@ -612,8 +374,8 @@ fn block_warm(itouched: &[bool], pcs_per_line: usize, b: &CompiledBlock) -> bool
     itouched[l0..=l1].iter().all(|&t| t)
 }
 
-/// Executes one warm block: native body, bulk record emission, then
-/// the terminator through the interpreter. Returns the records
+/// Executes one warm block: the body against the architectural state,
+/// bulk record emission, then the terminator. Returns the records
 /// emitted.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
@@ -630,32 +392,26 @@ fn exec_block(
     dlats.clear();
     let start = b.start_pc;
     let mut done: u32 = 0;
-    for step in &b.body {
-        match step {
-            BodyStep::Op(op) => match emu.exec_straight_op(*op, start + done) {
-                Ok(Some(addr)) => {
-                    // Loads pre-simulate their data access in execution
-                    // order, exactly as the interpreter tier would; the
-                    // latency is patched into the bulk span below.
-                    let dlat = presim.data_access(addr);
-                    debug_assert!(dlat <= u8::MAX as u64);
-                    dlats.push((done, dlat as u8));
-                    done += 1;
-                }
-                Ok(None) => done += 1,
-                Err(e) => {
-                    // Fault at body index `done`: emit the completed
-                    // records and land the machine on the faulting
-                    // instruction — indistinguishable from `done`
-                    // interpreter steps followed by the same fault.
-                    w.emit_straight(start, done, dlats);
-                    emu.commit_straight(start + done, done as u64);
-                    return Err(e);
-                }
-            },
-            BodyStep::Native { fun, args, len } => {
-                fun(emu.regs_mut(), *args);
-                done += len;
+    for op in &b.body {
+        match emu.exec_straight_op(*op, start + done) {
+            Ok(Some(addr)) => {
+                // Loads pre-simulate their data access in execution
+                // order, exactly as the interpreter tier would; the
+                // latency is patched into the bulk span below.
+                let dlat = presim.data_access(addr);
+                debug_assert!(dlat <= u8::MAX as u64);
+                dlats.push((done, dlat as u8));
+                done += 1;
+            }
+            Ok(None) => done += 1,
+            Err(e) => {
+                // Fault at body index `done`: emit the completed
+                // records and land the machine on the faulting
+                // instruction — indistinguishable from `done`
+                // interpreter steps followed by the same fault.
+                w.emit_straight(start, done, dlats);
+                emu.commit_straight(start + done, done as u64);
+                return Err(e);
             }
         }
     }
@@ -754,312 +510,6 @@ fn exec_block(
     Ok(done as u64 + 1)
 }
 
-// --- whole-loop specializations --------------------------------------
-
-/// Static length of the argmax loop fingerprint in guest instructions.
-const ARGMAX_LEN: usize = 14;
-
-/// Most records one argmax iteration emits (an already-pulled arm that
-/// improves the running best: `2 + 1 + 4 + 1 + 2 + 1 + 1`).
-const ARGMAX_ITER_RECORDS: u64 = 12;
-
-/// A fingerprint-matched whole-loop specialization: the linear argmax
-/// scan at the heart of the Bandit kernel's exploit path —
-///
-/// ```text
-/// head:    shl  i, k, #s          ; i = k * 8
-///          ld   p, [i + OFF_P]    ; pulls[k]
-///          br   cc1 p, #c1, head+5
-///          mov  v, one            ; unpulled arm: optimistic score
-///          jmp  head+9
-/// head+5:  ld   v, [i + OFF_W]    ; wins[k]
-///          itof v, v
-///          itof p, p
-///          fdiv v, v, p           ; empirical mean
-/// head+9:  fbr  cc2 v, best_v, head+12
-///          mov  best_v, v
-///          mov  best_i, k
-/// head+12: add  k, k, #a
-///          br   cc3 k, #n, head   ; back edge
-/// ```
-///
-/// The block engine chops one iteration into four tiny blocks, and
-/// `head+9` — a jump target that is itself a control op — never
-/// compiles at all, so the unpulled path pays a full `step_decoded`
-/// per iteration. [`exec_argmax`] runs whole iterations as native
-/// Rust instead: same datapath functions, same record/branch-byte
-/// emission through the cursor writer, same PBS observations (the
-/// back edge; forward branches are provable no-ops on the context
-/// table), and the same fault landing points as the interpreter.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ArgmaxLoop {
-    /// Loop-head pc (`shl`); the loop spans `head..head + 14`.
-    head: u32,
-    /// Index register `i` (byte offset of arm `k`).
-    i: Reg,
-    /// Loop counter register `k`.
-    k: Reg,
-    /// Pull-count register `p`.
-    pulls: Reg,
-    /// Score register `v`.
-    score: Reg,
-    /// Optimistic-score source register for unpulled arms.
-    one: Reg,
-    /// Running best score.
-    best_v: Reg,
-    /// Running best index.
-    best_i: Reg,
-    /// `shl` shift immediate.
-    shl_imm: u64,
-    /// `add` step immediate.
-    add_imm: u64,
-    /// Pull-count table base offset.
-    off_pulls: i64,
-    /// Wins table base offset.
-    off_wins: i64,
-    /// Pulled-test condition at `head + 2` (operator, fp, immediate).
-    br_pulled: (CmpOp, bool, u64),
-    /// Skip-update condition at `head + 9` (operator, fp).
-    br_skip: (CmpOp, bool),
-    /// Back-edge condition at `head + 13` (operator, fp, immediate).
-    br_back: (CmpOp, bool, u64),
-}
-
-/// Matches the argmax loop fingerprint at `at` (see [`ArgmaxLoop`]).
-/// Only the instruction kinds, the register dataflow and the four
-/// control targets are structural; operators, immediates and offsets
-/// are captured as data. Register aliasing needs no constraints:
-/// [`exec_argmax`] replays every op in program order against the real
-/// register file.
-fn match_argmax(w: &[DecOp; ARGMAX_LEN], at: u32) -> Option<ArgmaxLoop> {
-    let (i, k, shl_imm) = match w[0] {
-        DecOp::AluRI {
-            op: AluOp::Shl,
-            dst,
-            src1,
-            imm,
-        } => (dst, src1, imm),
-        _ => return None,
-    };
-    let (pulls, off_pulls) = match w[1] {
-        DecOp::Load { dst, base, offset } if base == i => (dst, offset),
-        _ => return None,
-    };
-    let br_pulled = match w[2] {
-        DecOp::BrRI {
-            op,
-            fp,
-            lhs,
-            imm,
-            target,
-        } if lhs == pulls && target == at + 5 => (op, fp, imm),
-        _ => return None,
-    };
-    let (score, one) = match w[3] {
-        DecOp::Mov { dst, src } => (dst, src),
-        _ => return None,
-    };
-    match w[4] {
-        DecOp::Jmp { target } if target == at + 9 => {}
-        _ => return None,
-    }
-    let off_wins = match w[5] {
-        DecOp::Load { dst, base, offset } if dst == score && base == i => offset,
-        _ => return None,
-    };
-    match w[6] {
-        DecOp::IntToFp { dst, src } if dst == score && src == score => {}
-        _ => return None,
-    }
-    match w[7] {
-        DecOp::IntToFp { dst, src } if dst == pulls && src == pulls => {}
-        _ => return None,
-    }
-    match w[8] {
-        DecOp::FpBin {
-            op: FpBinOp::Div,
-            dst,
-            src1,
-            src2,
-        } if dst == score && src1 == score && src2 == pulls => {}
-        _ => return None,
-    }
-    let (best_v, br_skip) = match w[9] {
-        DecOp::BrRR {
-            op,
-            fp,
-            lhs,
-            rhs,
-            target,
-        } if lhs == score && target == at + 12 => (rhs, (op, fp)),
-        _ => return None,
-    };
-    match w[10] {
-        DecOp::Mov { dst, src } if dst == best_v && src == score => {}
-        _ => return None,
-    }
-    let best_i = match w[11] {
-        DecOp::Mov { dst, src } if src == k => dst,
-        _ => return None,
-    };
-    let add_imm = match w[12] {
-        DecOp::AluRI {
-            op: AluOp::Add,
-            dst,
-            src1,
-            imm,
-        } if dst == k && src1 == k => imm,
-        _ => return None,
-    };
-    let br_back = match w[13] {
-        DecOp::BrRI {
-            op,
-            fp,
-            lhs,
-            imm,
-            target,
-        } if lhs == k && target == at => (op, fp, imm),
-        _ => return None,
-    };
-    Some(ArgmaxLoop {
-        head: at,
-        i,
-        k,
-        pulls,
-        score,
-        one,
-        best_v,
-        best_i,
-        shl_imm,
-        add_imm,
-        off_pulls,
-        off_wins,
-        br_pulled,
-        br_skip,
-        br_back,
-    })
-}
-
-/// Whether every L1-I line the whole loop spans is resident — the
-/// zero-istall precondition for [`exec_argmax`], which covers all
-/// fourteen pcs, not just the head block.
-#[inline(always)]
-fn argmax_warm(itouched: &[bool], pcs_per_line: usize, head: u32) -> bool {
-    let l0 = head as usize / pcs_per_line;
-    let l1 = (head as usize + ARGMAX_LEN - 1) / pcs_per_line;
-    itouched[l0..=l1].iter().all(|&t| t)
-}
-
-/// Executes argmax iterations natively until the back edge falls
-/// through or the next iteration might not fit `budget`, emitting
-/// exactly the records the interpreter would. Loads pre-simulate in
-/// execution order and faults land identically: completed records
-/// emitted, `pc` on the faulting instruction, machine halted.
-fn exec_argmax(
-    emu: &mut Emulator,
-    presim: &mut MemoryHierarchy,
-    w: &mut ChunkWriter,
-    sp: &ArgmaxLoop,
-    budget: u64,
-) -> Result<(), EmuError> {
-    let p0 = sp.head;
-    let cond = |taken| {
-        encode_branch(Some(BranchEvent {
-            taken,
-            kind: BranchEventKind::Conditional,
-            is_prob: false,
-        }))
-    };
-    let (taken_byte, not_byte) = (cond(true), cond(false));
-    let jmp_byte = encode_branch(Some(BranchEvent {
-        taken: true,
-        kind: BranchEventKind::Unconditional,
-        is_prob: false,
-    }));
-    loop {
-        // head: shl, then the pulls load. A fault on the load emits
-        // the completed shl record first, exactly like `exec_block`.
-        {
-            let regs = emu.regs_mut();
-            regs[sp.i.index()] = alu_eval(AluOp::Shl, regs[sp.k.index()], sp.shl_imm);
-        }
-        let addr = match emu.load_checked(sp.pulls, sp.i, sp.off_pulls, p0 + 1) {
-            Ok(a) => a,
-            Err(e) => {
-                w.emit_straight(p0, 1, &[]);
-                emu.commit_straight(p0 + 1, 1);
-                return Err(e);
-            }
-        };
-        let dlat = presim.data_access(addr);
-        debug_assert!(dlat <= u8::MAX as u64);
-        w.emit_straight(p0, 2, &[(1, dlat as u8)]);
-        emu.commit_straight(p0 + 2, 2);
-        // head+2: pulled test (forward branch: PBS no-op).
-        let (op1, fp1, imm1) = sp.br_pulled;
-        let pulled = emu.cmp_ri(op1, fp1, sp.pulls, imm1);
-        emu.commit_term_branch(p0 + 2, p0 + 5, pulled);
-        w.emit_record(p0 + 2, if pulled { taken_byte } else { not_byte }, 0, 0);
-        if pulled {
-            // head+5..9: wins load, two itofs, fdiv — the shared
-            // datapath expressions, in op order.
-            let addr = emu.load_checked(sp.score, sp.i, sp.off_wins, p0 + 5)?;
-            let dlat = presim.data_access(addr);
-            debug_assert!(dlat <= u8::MAX as u64);
-            {
-                let regs = emu.regs_mut();
-                regs[sp.score.index()] = (regs[sp.score.index()] as i64 as f64).to_bits();
-                regs[sp.pulls.index()] = (regs[sp.pulls.index()] as i64 as f64).to_bits();
-                regs[sp.score.index()] = fp_bin_eval(
-                    FpBinOp::Div,
-                    f64::from_bits(regs[sp.score.index()]),
-                    f64::from_bits(regs[sp.pulls.index()]),
-                )
-                .to_bits();
-            }
-            w.emit_straight(p0 + 5, 4, &[(0, dlat as u8)]);
-            emu.commit_straight(p0 + 9, 4);
-        } else {
-            // head+3..5: optimistic score, jump to the compare.
-            {
-                let regs = emu.regs_mut();
-                regs[sp.score.index()] = regs[sp.one.index()];
-            }
-            w.emit_straight(p0 + 3, 1, &[]);
-            emu.commit_straight(p0 + 4, 1);
-            emu.commit_term_branch(p0 + 4, p0 + 9, true);
-            w.emit_record(p0 + 4, jmp_byte, 0, 0);
-        }
-        // head+9: skip-update test (forward branch: PBS no-op).
-        let (op2, fp2) = sp.br_skip;
-        let skip = emu.cmp_rr(op2, fp2, sp.score, sp.best_v);
-        emu.commit_term_branch(p0 + 9, p0 + 12, skip);
-        w.emit_record(p0 + 9, if skip { taken_byte } else { not_byte }, 0, 0);
-        if !skip {
-            let regs = emu.regs_mut();
-            regs[sp.best_v.index()] = regs[sp.score.index()];
-            regs[sp.best_i.index()] = regs[sp.k.index()];
-            w.emit_straight(p0 + 10, 2, &[]);
-            emu.commit_straight(p0 + 12, 2);
-        }
-        // head+12: counter step.
-        {
-            let regs = emu.regs_mut();
-            regs[sp.k.index()] = alu_eval(AluOp::Add, regs[sp.k.index()], sp.add_imm);
-        }
-        w.emit_straight(p0 + 12, 1, &[]);
-        emu.commit_straight(p0 + 13, 1);
-        // head+13: the back edge — the one branch PBS observes.
-        let (op3, fp3, imm3) = sp.br_back;
-        let again = emu.cmp_ri(op3, fp3, sp.k, imm3);
-        emu.commit_term_branch(p0 + 13, p0, again);
-        w.emit_record(p0 + 13, if again { taken_byte } else { not_byte }, 0, 0);
-        if !again || budget - w.written() < ARGMAX_ITER_RECORDS {
-            return Ok(());
-        }
-    }
-}
-
 impl TraceStream {
     /// The block-compiled tier of [`fill`](TraceStream::fill): dispatch
     /// on the pc, execute warm blocks natively with bulk emission, and
@@ -1117,17 +567,6 @@ impl TraceStream {
                         warm_blocks[i] = v;
                         v
                     };
-                    if let Some(sp) = warm.then_some(()).and(b.spec.as_ref()) {
-                        // Whole-loop fast path: needs its own budget
-                        // headroom (one full iteration) and warmth over
-                        // all fourteen lines, not just the head block.
-                        if budget - w.written() >= ARGMAX_ITER_RECORDS
-                            && argmax_warm(itouched, pcs_per_line, sp.head)
-                        {
-                            exec_argmax(emu, presim, &mut w, sp, budget)?;
-                            continue;
-                        }
-                    }
                     if warm && b.records() <= budget - w.written() {
                         exec_block(
                             emu,
@@ -1172,294 +611,6 @@ impl TraceStream {
     }
 }
 
-// --- native fragments ------------------------------------------------
-
-/// Tries every fragment matcher at the head of `w`, longest first.
-fn match_fragment(w: &[DecOp]) -> Option<(NativeFn, [u8; 6], u32)> {
-    if let Some(args) = match_gauss_tail(w) {
-        return Some((native_gauss_tail, args, 10));
-    }
-    if let Some(args) = match_next_f64(w) {
-        return Some((native_next_f64, args, 10));
-    }
-    if let Some(args) = match_next_u64(w) {
-        return Some((native_next_u64, args, 7));
-    }
-    if let Some(args) = match_f64_tail(w) {
-        return Some((native_f64_tail, args, 3));
-    }
-    None
-}
-
-/// Matches the full 10-op `RngAsm::next_f64` — a `next_u64` whose
-/// output register immediately runs the `[0,1)` tail — so the fused
-/// native keeps the xorshift dataflow in host registers across the
-/// conversion instead of paying two fragment dispatches. Returns
-/// `[s, t, m, out, sc, 0]`.
-fn match_next_f64(w: &[DecOp]) -> Option<[u8; 6]> {
-    if w.len() < 10 {
-        return None;
-    }
-    let head = match_next_u64(w)?;
-    let tail = match_f64_tail(&w[7..])?;
-    if tail[0] != head[3] {
-        return None;
-    }
-    let [s, t, m, out, ..] = head;
-    Some([s, t, m, out, tail[1], 0])
-}
-
-/// `args = [s, t, m, out, sc, _]`. The `next_u64` writes (in guest
-/// order) followed by the tail's conversion — every read of `m`/`sc`
-/// happens at the same point in the write sequence as in the guest, so
-/// all aliasing cases land on the ten DecOps' final state.
-fn native_next_f64(regs: &mut [u64; 32], args: [u8; 6]) {
-    let [s, t, m, out, sc, _] = args.map(usize::from);
-    let mut x = regs[s];
-    x ^= x >> 12;
-    x ^= x << 25;
-    let last = x >> 27;
-    x ^= last;
-    regs[t] = last;
-    regs[s] = x;
-    regs[out] = x.wrapping_mul(regs[m]);
-    let v = (regs[out] >> 11) as i64 as f64;
-    regs[out] = (v * f64::from_bits(regs[sc])).to_bits();
-}
-
-/// Matches the 7-op xorshift64\* step the workload library inlines
-/// (`RngAsm::next_u64`): `shr t,s,12; xor s,s,t; shl t,s,25;
-/// xor s,s,t; shr t,s,27; xor s,s,t; mul out,s,m`. Register slots are
-/// matched parametrically — any distinct `(s, t)` pair works, not just
-/// the default r24/r27 block. Returns `[s, t, m, out, 0, 0]`.
-fn match_next_u64(w: &[DecOp]) -> Option<[u8; 6]> {
-    if w.len() < 7 {
-        return None;
-    }
-    let (s, t) = match w[0] {
-        DecOp::AluRI {
-            op: AluOp::Shr,
-            dst,
-            src1,
-            imm: 12,
-        } if dst != src1 => (src1, dst),
-        _ => return None,
-    };
-    let xor_sst = |op: DecOp| {
-        matches!(op, DecOp::AluRR {
-            op: AluOp::Xor,
-            dst,
-            src1,
-            src2,
-        } if dst == s && src1 == s && src2 == t)
-    };
-    if !xor_sst(w[1]) || !xor_sst(w[3]) || !xor_sst(w[5]) {
-        return None;
-    }
-    match w[2] {
-        DecOp::AluRI {
-            op: AluOp::Shl,
-            dst,
-            src1,
-            imm: 25,
-        } if dst == t && src1 == s => {}
-        _ => return None,
-    }
-    match w[4] {
-        DecOp::AluRI {
-            op: AluOp::Shr,
-            dst,
-            src1,
-            imm: 27,
-        } if dst == t && src1 == s => {}
-        _ => return None,
-    }
-    let (out, m) = match w[6] {
-        DecOp::AluRR {
-            op: AluOp::Mul,
-            dst,
-            src1,
-            src2,
-        } if src1 == s => (dst, src2),
-        _ => return None,
-    };
-    Some([
-        s.index() as u8,
-        t.index() as u8,
-        m.index() as u8,
-        out.index() as u8,
-        0,
-        0,
-    ])
-}
-
-/// `args = [s, t, m, out, _, _]`. Writes `t`, `s`, `out` in the guest's
-/// op order so every register-aliasing case lands on the same final
-/// state as the seven DecOps.
-fn native_next_u64(regs: &mut [u64; 32], args: [u8; 6]) {
-    let [s, t, m, out, _, _] = args.map(usize::from);
-    let mut x = regs[s];
-    x ^= x >> 12;
-    x ^= x << 25;
-    let last = x >> 27;
-    x ^= last;
-    regs[t] = last;
-    regs[s] = x;
-    regs[out] = x.wrapping_mul(regs[m]);
-}
-
-/// Matches the 3-op `[0,1)` conversion tail (`RngAsm::next_f64` after
-/// its `next_u64`): `shr o,o,11; itof o,o; fmul o,o,sc`. Returns
-/// `[o, sc, 0, 0, 0, 0]`.
-fn match_f64_tail(w: &[DecOp]) -> Option<[u8; 6]> {
-    if w.len() < 3 {
-        return None;
-    }
-    let o = match w[0] {
-        DecOp::AluRI {
-            op: AluOp::Shr,
-            dst,
-            src1,
-            imm: 11,
-        } if dst == src1 => dst,
-        _ => return None,
-    };
-    match w[1] {
-        DecOp::IntToFp { dst, src } if dst == o && src == o => {}
-        _ => return None,
-    }
-    let sc = match w[2] {
-        DecOp::FpBin {
-            op: FpBinOp::Mul,
-            dst,
-            src1,
-            src2,
-        } if dst == o && src1 == o && src2 != o => src2,
-        _ => return None,
-    };
-    Some([o.index() as u8, sc.index() as u8, 0, 0, 0, 0])
-}
-
-/// `args = [o, sc, _, _, _, _]`. Same `u64 → i64 → f64` conversion and
-/// multiply as the `IntToFp`/`FpBin` datapaths.
-fn native_f64_tail(regs: &mut [u64; 32], args: [u8; 6]) {
-    let o = args[0] as usize;
-    let sc = args[1] as usize;
-    let v = (regs[o] >> 11) as i64 as f64;
-    regs[o] = (v * f64::from_bits(regs[sc])).to_bits();
-}
-
-/// Matches the 10-op Box–Muller tail (`RngAsm::next_gauss_pair` after
-/// its two `next_f64`s): `fln t1,t1; lif z1,-2; fmul t1,t1,z1;
-/// fsqrt t1,t1; lif z1,2π; fmul t2,t2,z1; fcos z0,t2; fmul z0,t1,z0;
-/// fsin z1,t2; fmul z1,t1,z1`. Returns `[z0, z1, t1, t2, 0, 0]`.
-fn match_gauss_tail(w: &[DecOp]) -> Option<[u8; 6]> {
-    if w.len() < 10 {
-        return None;
-    }
-    let neg_two = (-2.0f64).to_bits();
-    let two_pi = (2.0 * std::f64::consts::PI).to_bits();
-    let t1 = match w[0] {
-        DecOp::FpUn {
-            op: FpUnOp::Ln,
-            dst,
-            src,
-        } if dst == src => dst,
-        _ => return None,
-    };
-    let z1 = match w[1] {
-        DecOp::Li { dst, imm } if imm == neg_two && dst != t1 => dst,
-        _ => return None,
-    };
-    match w[2] {
-        DecOp::FpBin {
-            op: FpBinOp::Mul,
-            dst,
-            src1,
-            src2,
-        } if dst == t1 && src1 == t1 && src2 == z1 => {}
-        _ => return None,
-    }
-    match w[3] {
-        DecOp::FpUn {
-            op: FpUnOp::Sqrt,
-            dst,
-            src,
-        } if dst == t1 && src == t1 => {}
-        _ => return None,
-    }
-    match w[4] {
-        DecOp::Li { dst, imm } if dst == z1 && imm == two_pi => {}
-        _ => return None,
-    }
-    let t2 = match w[5] {
-        DecOp::FpBin {
-            op: FpBinOp::Mul,
-            dst,
-            src1,
-            src2,
-        } if dst == src1 && src2 == z1 && dst != t1 && dst != z1 => dst,
-        _ => return None,
-    };
-    let z0 = match w[6] {
-        DecOp::FpUn {
-            op: FpUnOp::Cos,
-            dst,
-            src,
-        } if src == t2 && dst != t1 && dst != t2 && dst != z1 => dst,
-        _ => return None,
-    };
-    match w[7] {
-        DecOp::FpBin {
-            op: FpBinOp::Mul,
-            dst,
-            src1,
-            src2,
-        } if dst == z0 && src1 == t1 && src2 == z0 => {}
-        _ => return None,
-    }
-    match w[8] {
-        DecOp::FpUn {
-            op: FpUnOp::Sin,
-            dst,
-            src,
-        } if dst == z1 && src == t2 => {}
-        _ => return None,
-    }
-    match w[9] {
-        DecOp::FpBin {
-            op: FpBinOp::Mul,
-            dst,
-            src1,
-            src2,
-        } if dst == z1 && src1 == t1 && src2 == z1 => {}
-        _ => return None,
-    }
-    Some([
-        z0.index() as u8,
-        z1.index() as u8,
-        t1.index() as u8,
-        t2.index() as u8,
-        0,
-        0,
-    ])
-}
-
-/// `args = [z0, z1, t1, t2, _, _]`. Uses the same `f64` operations
-/// (`ln`/`sqrt`/`cos`/`sin`, IEEE multiplies) in the same order as the
-/// ten DecOps, so the results are bit-identical; final register state
-/// matches the guest's write order (`t1 = r`, `t2 = θ`, `z0 = r·cosθ`,
-/// `z1 = r·sinθ`).
-fn native_gauss_tail(regs: &mut [u64; 32], args: [u8; 6]) {
-    let [z0, z1, t1, t2, _, _] = args.map(usize::from);
-    let r = (f64::from_bits(regs[t1]).ln() * -2.0).sqrt();
-    let theta = f64::from_bits(regs[t2]) * (2.0 * std::f64::consts::PI);
-    regs[t1] = r.to_bits();
-    regs[t2] = theta.to_bits();
-    regs[z0] = (r * theta.cos()).to_bits();
-    regs[z1] = (r * theta.sin()).to_bits();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1479,12 +630,11 @@ mod tests {
             b.add(Reg::R3, Reg::R1, Reg::R2);
             b.halt();
         });
-        let p = BlockProgram::compile(&d, true);
+        let p = BlockProgram::compile(&d);
         assert_eq!(p.compiled_blocks(), 1);
         let b = p.at(0).unwrap();
         assert_eq!(b.body_len, 3);
         assert!(matches!(b.term, Some(Term::Other)), "halt terminator");
-        assert!(!p.has_native());
     }
 
     #[test]
@@ -1495,7 +645,7 @@ mod tests {
             b.li(Reg::R2, 8);
             b.halt();
         });
-        let p = BlockProgram::compile(&d, true);
+        let p = BlockProgram::compile(&d);
         // [li] | out (rare, single-stepped) | [li] halt
         assert_eq!(p.compiled_blocks(), 2);
         assert!(p.at(0).is_some());
@@ -1515,7 +665,7 @@ mod tests {
             b.br(probranch_isa::CmpOp::Lt, Reg::R1, 10, top);
             b.halt();
         });
-        let p = BlockProgram::compile(&d, true);
+        let p = BlockProgram::compile(&d);
         // [li] | [add] br | halt (control leader: terminator-only)
         assert_eq!(p.compiled_blocks(), 3);
         let head = p.at(0).unwrap();
@@ -1530,28 +680,5 @@ mod tests {
         let tail = p.at(3).unwrap();
         assert_eq!(tail.body_len, 0, "lone control op compiles bodyless");
         assert!(matches!(tail.term, Some(Term::Other)));
-    }
-
-    #[test]
-    fn rng_fragments_match_in_workload_blocks() {
-        // The workloads crate is not a dependency of the pipeline, so
-        // the asmlib xorshift sequence is rebuilt by hand here.
-        fn rng_block(b: &mut ProgramBuilder, out: Reg) {
-            let (s, m, t) = (Reg::R24, Reg::R25, Reg::R27);
-            b.shr(t, s, 12).xor(s, s, t);
-            b.shl(t, s, 25).xor(s, s, t);
-            b.shr(t, s, 27).xor(s, s, t);
-            b.mul(out, s, m);
-        }
-        let d = decode(|b| {
-            b.li(Reg::R24, 12345);
-            b.li(Reg::R25, 99);
-            rng_block(b, Reg::R2);
-            b.halt();
-        });
-        let p = BlockProgram::compile(&d, true);
-        assert!(p.has_native(), "xorshift fragment should match");
-        let without = BlockProgram::compile(&d, false);
-        assert!(!without.has_native());
     }
 }

@@ -24,16 +24,17 @@
 //!   outputs and the consumed probabilistic-value stream.
 //!   [`Simulation`] is keyed by [`EngineKind`]: the fused/predecoded
 //!   live engine, the original unfused reference loop (the
-//!   differential baseline producing identical reports), and the two
-//!   trace engines below;
-//! * [`DynTrace`] + [`EngineKind::Replay`] / [`EngineKind::Convoy`] —
-//!   the emulate-once/time-many engines: the dynamic record stream
-//!   (plus pre-simulated cache latencies) is captured once per
-//!   emulation key `(workload, PBS config, emulator config)` into
-//!   structure-of-arrays chunks and replayed against any number of
-//!   predictor/core configurations — one consumer at a time or as a
-//!   fused lockstep convoy, each chunk's branches batch-predicted
-//!   through [`probranch_predictor::BranchPredictor::predict_update_batch`]
+//!   differential baseline producing identical reports), and the
+//!   default trace engine below;
+//! * [`DynTrace`] + [`EngineKind::Replay`] — emulate once, time many:
+//!   the dynamic record stream (plus pre-simulated cache latencies) is
+//!   captured once per emulation key `(workload, PBS config, emulator
+//!   config)` into structure-of-arrays chunks by the block-compiled
+//!   capture engine (see `aot`) and timed against any number of
+//!   predictor/core configurations — streamed chunk by chunk through
+//!   every cell, or replayed from a materialized trace, each chunk's
+//!   branches batch-predicted through
+//!   [`probranch_predictor::BranchPredictor::predict_update_batch`]
 //!   ahead of the timing walk — byte-identically to the fused engine
 //!   (see `trace`), with optional on-disk persistence keyed by content
 //!   hash (see `persist`).
@@ -67,7 +68,6 @@ mod persist;
 mod sim;
 mod trace;
 
-pub use aot::{capture_overlap, capture_tier, set_capture_overlap, with_capture_tier, CaptureTier};
 pub use cache::{Cache, MemLatencies, MemoryHierarchy};
 pub use cancel::{CancelScope, CancelToken};
 pub use decode::{
@@ -78,10 +78,7 @@ pub use machine::{
 };
 pub use ooo::{BranchTraceEntry, ExecLatencies, OooConfig, OooTimingModel, TimingStats};
 pub use persist::{sweep_old_quarantined, sweep_stale_temps, TraceLoad, TRACE_FILE_VERSION};
-pub use sim::{
-    run_functional, simulate, simulate_convoy, simulate_reference, simulate_replay,
-    simulate_replay_convoy, EngineKind, PredictorChoice, SimConfig, SimReport, Simulation,
-};
+pub use sim::{run_functional, EngineKind, PredictorChoice, SimConfig, SimReport, Simulation};
 pub use trace::{
     DynTrace, ReplayConsumer, ReplayRec, TraceChunk, TraceFunctional, TraceStream,
     TRACE_CHUNK_RECORDS,

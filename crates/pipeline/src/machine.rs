@@ -984,15 +984,6 @@ impl Emulator {
         self.pc
     }
 
-    /// The architectural register file, for fragment-matched native
-    /// specializations in the block-compiled capture engine (see
-    /// `crate::aot`). Fragments are pure register dataflow: they touch
-    /// neither memory, the flag, nor the PBS unit.
-    #[inline(always)]
-    pub(crate) fn regs_mut(&mut self) -> &mut [u64; 32] {
-        &mut self.regs
-    }
-
     /// Commits a straight-line block body in bulk: the pc lands on the
     /// instruction after the body and the retired-instruction counter
     /// advances by the body's record count — exactly the state `n`
@@ -1003,18 +994,12 @@ impl Emulator {
         self.executed += n;
     }
 
-    /// The checked 64-bit load datapath — `DecOp::Load` without the op
-    /// dispatch, for the loop specializations in `crate::aot`. Faults
-    /// halt the machine and propagate exactly like `step_decoded`.
-    /// Returns the pre-simulation data address.
+    /// The checked 64-bit load datapath of
+    /// [`exec_straight_op`](Self::exec_straight_op). Faults halt the
+    /// machine and propagate exactly like `step_decoded`. Returns the
+    /// pre-simulation data address.
     #[inline(always)]
-    pub(crate) fn load_checked(
-        &mut self,
-        dst: Reg,
-        base: Reg,
-        offset: i64,
-        pc: u32,
-    ) -> Result<u64, EmuError> {
+    fn load_checked(&mut self, dst: Reg, base: Reg, offset: i64, pc: u32) -> Result<u64, EmuError> {
         let idx = self
             .mem_index(base, offset, pc)
             .inspect_err(|_| self.halted = true)?;

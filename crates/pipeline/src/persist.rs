@@ -837,7 +837,7 @@ fn writer_alive(pid: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{simulate_replay, PredictorChoice};
+    use crate::sim::{PredictorChoice, Simulation};
     use probranch_isa::{CmpOp, ProgramBuilder, Reg};
 
     fn workload(iters: i64) -> probranch_isa::Program {
@@ -957,12 +957,12 @@ mod tests {
         // And the replay through the loaded trace is byte-identical.
         let timing_cfg = cfg.clone().predictor(PredictorChoice::Tournament);
         assert_eq!(
-            simulate_replay(&back, &timing_cfg),
-            simulate_replay(&trace, &timing_cfg)
+            Simulation::default().replay(&back, &timing_cfg),
+            Simulation::default().replay(&trace, &timing_cfg)
         );
         assert_eq!(
-            simulate_replay(&owned, &timing_cfg),
-            simulate_replay(&trace, &timing_cfg)
+            Simulation::default().replay(&owned, &timing_cfg),
+            Simulation::default().replay(&trace, &timing_cfg)
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -12,15 +12,14 @@
 //!   [`DynInst`](crate::DynInst) stream into `Box<dyn BranchPredictor>`),
 //!   kept as the differential baseline the equivalence suite checks
 //!   every other engine against;
-//! * [`EngineKind::Replay`] — emulate once, time many: cells re-time a
-//!   captured [`DynTrace`], with each chunk's branches batch-predicted
-//!   ahead of the timing walk (see `trace.rs`);
-//! * [`EngineKind::Convoy`] — streamed fused convoys: one capture with
-//!   all of a key's timing cells draining each chunk in lockstep,
-//!   bounded memory on arbitrarily long workloads.
+//! * [`EngineKind::Replay`] — emulate once, time many: one capture
+//!   streamed chunk by chunk through every timing cell of an emulation
+//!   key, or cells re-timing a materialized [`DynTrace`], with each
+//!   chunk's branches batch-predicted ahead of the timing walk (see
+//!   `trace.rs`).
 //!
-//! All four produce byte-identical [`SimReport`]s — equality over every
-//! field, error paths included — locked in by
+//! All three produce byte-identical [`SimReport`]s — equality over
+//! every field, error paths included — locked in by
 //! `tests/engine_equivalence.rs`.
 
 use probranch_core::{PbsConfig, PbsStats, PbsUnit};
@@ -29,12 +28,9 @@ use probranch_predictor::{
     BranchPredictor, PredictorDispatch, StaticPredictor, TageScL, Tournament,
 };
 
-use std::sync::mpsc;
-
-use crate::decode::InstTiming;
 use crate::machine::{EmuConfig, EmuError, Emulator, StepRecord};
 use crate::ooo::{OooConfig, OooTimingModel, TimingStats};
-use crate::trace::{drain_chunk_convoy, DynTrace, ReplayConsumer, TraceChunk, TraceStream};
+use crate::trace::{drain_chunk_many, DynTrace, ReplayConsumer, TraceChunk, TraceStream};
 
 /// Which baseline branch predictor to instantiate (paper Section VI-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,17 +212,16 @@ impl SimReport {
 /// and therefore in throughput and memory footprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
-    /// The emulate-once/time-many replay engine (default): each cell
-    /// re-times a captured [`DynTrace`], with every chunk's
-    /// predictor-visible branches batch-predicted through
+    /// The emulate-once/time-many replay engine (default): a run
+    /// streams one capture through every cell's timing consumer chunk
+    /// by chunk — no materialized trace, bounded memory on arbitrarily
+    /// long workloads — and [`Simulation::replay`] re-times a captured
+    /// [`DynTrace`]. Either way every chunk's predictor-visible
+    /// branches are batch-predicted through
     /// [`BranchPredictor::predict_update_batch`] ahead of the timing
     /// walk.
     #[default]
     Replay,
-    /// Streamed fused convoy: one capture with all of a key's timing
-    /// cells draining each chunk in lockstep — no materialized trace,
-    /// bounded memory on arbitrarily long workloads.
-    Convoy,
     /// The fused emulate→time engine: emulator, predictor and timing
     /// model advance together, re-emulating every cell. As a *live*
     /// engine it must consult the predictor serially per branch — the
@@ -241,18 +236,12 @@ pub enum EngineKind {
 impl EngineKind {
     /// Every engine, replay first — the order differential matrices
     /// iterate.
-    pub const ALL: [EngineKind; 4] = [
-        EngineKind::Replay,
-        EngineKind::Convoy,
-        EngineKind::Fused,
-        EngineKind::Reference,
-    ];
+    pub const ALL: [EngineKind; 3] = [EngineKind::Replay, EngineKind::Fused, EngineKind::Reference];
 
     /// Parses an engine name (as accepted by `figures --engine`).
     pub fn parse(name: &str) -> Option<EngineKind> {
         match name {
             "replay" => Some(EngineKind::Replay),
-            "convoy" => Some(EngineKind::Convoy),
             "fused" => Some(EngineKind::Fused),
             "reference" => Some(EngineKind::Reference),
             _ => None,
@@ -263,7 +252,6 @@ impl EngineKind {
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Replay => "replay",
-            EngineKind::Convoy => "convoy",
             EngineKind::Fused => "fused",
             EngineKind::Reference => "reference",
         }
@@ -317,10 +305,10 @@ impl Simulation {
 
     /// Runs `program` to completion under a full timing simulation.
     ///
-    /// Under [`EngineKind::Replay`] the trace is captured and replayed
-    /// internally; use [`replay`](Simulation::replay) when a
-    /// [`DynTrace`] for the configuration's emulation key is already
-    /// materialized.
+    /// Under [`EngineKind::Replay`] the capture streams through the
+    /// timing consumer chunk by chunk; use
+    /// [`replay`](Simulation::replay) when a [`DynTrace`] for the
+    /// configuration's emulation key is already materialized.
     ///
     /// # Errors
     ///
@@ -330,26 +318,23 @@ impl Simulation {
         match self.engine {
             EngineKind::Fused => run_fused(program, config),
             EngineKind::Reference => run_reference(program, config),
-            EngineKind::Convoy => run_convoy(program, std::slice::from_ref(config))
+            EngineKind::Replay => run_streamed(program, std::slice::from_ref(config))
                 .map(|mut reports| reports.pop().expect("one report per config")),
-            EngineKind::Replay => {
-                let trace = DynTrace::capture(program, config)?;
-                replay_one(&trace, config)
-            }
         }
     }
 
     /// Runs one timing cell per configuration, in input order.
     ///
-    /// Under [`EngineKind::Replay`] and [`EngineKind::Convoy`] the
-    /// configurations must share an emulation key (equal `pbs`, `emu`
-    /// and `max_insts`) so one captured stream serves every cell; the
-    /// live engines simply run back to back.
+    /// Under [`EngineKind::Replay`] the configurations must share an
+    /// emulation key (equal `pbs`, `emu` and `max_insts`): the program
+    /// is emulated once and each captured chunk drains through every
+    /// cell before the next is captured, so only one chunk-sized buffer
+    /// is ever live. The live engines simply run back to back.
     ///
     /// # Panics
     ///
-    /// Panics if `configs` is empty, or (replay/convoy) the emulation
-    /// keys differ.
+    /// Panics if `configs` is empty, or (replay) the emulation keys
+    /// differ.
     ///
     /// # Errors
     ///
@@ -365,12 +350,7 @@ impl Simulation {
                 .iter()
                 .map(|cfg| run_reference(program, cfg))
                 .collect(),
-            EngineKind::Convoy => run_convoy(program, configs),
-            EngineKind::Replay => {
-                let key = check_convoy_key(configs, "run_many");
-                let trace = DynTrace::capture(program, key)?;
-                configs.iter().map(|cfg| replay_one(&trace, cfg)).collect()
-            }
+            EngineKind::Replay => run_streamed(program, configs),
         }
     }
 
@@ -401,32 +381,23 @@ impl Simulation {
     }
 
     /// Re-times a captured [`DynTrace`] once per configuration, in
-    /// input order.
-    ///
-    /// Under [`EngineKind::Convoy`] all cells drain each chunk in one
-    /// fused lockstep pass (the configurations must share an emulation
-    /// key); every other engine replays the cells independently —
-    /// byte-identical reports either way.
+    /// input order, each cell replaying the trace independently.
     ///
     /// # Panics
     ///
-    /// Panics if `configs` is empty, the trace's emulation key differs
-    /// from a configuration's, or (convoy) the keys differ among
-    /// themselves.
+    /// Panics if the trace's emulation key differs from a
+    /// configuration's.
     ///
     /// # Errors
     ///
     /// [`EmuError::InstLimitExceeded`] exactly when a live run would
-    /// return it — every cell errors identically.
+    /// return it.
     pub fn replay_many(
         self,
         trace: &DynTrace,
         configs: &[SimConfig],
     ) -> Result<Vec<SimReport>, EmuError> {
-        match self.engine {
-            EngineKind::Convoy => replay_convoy(trace, configs),
-            _ => configs.iter().map(|cfg| replay_one(trace, cfg)).collect(),
-        }
+        configs.iter().map(|cfg| replay_one(trace, cfg)).collect()
     }
 }
 
@@ -507,196 +478,54 @@ fn run_reference(program: &Program, config: &SimConfig) -> Result<SimReport, Emu
     Ok(report_of(emu, timing))
 }
 
-/// The single-cell replay body (see [`EngineKind::Replay`]).
+/// The single-cell materialized-trace replay body (see
+/// [`Simulation::replay`]).
 fn replay_one(trace: &DynTrace, config: &SimConfig) -> Result<SimReport, EmuError> {
-    // The one-element convoy takes the identical single-consumer drain,
-    // so the two entry points share every check and cannot diverge in
-    // error semantics.
-    replay_convoy(trace, std::slice::from_ref(config))
-        .map(|mut reports| reports.pop().expect("one report per config"))
+    trace.check_compatible(config);
+    if trace.instructions() >= config.max_insts {
+        return Err(EmuError::InstLimitExceeded {
+            limit: config.max_insts,
+        });
+    }
+    let mut consumer = ReplayConsumer::new(config);
+    for chunk in trace.chunks() {
+        crate::cancel::check_current()?;
+        consumer.consume_chunk(trace.timings(), chunk);
+    }
+    Ok(consumer.into_report(trace.functional()))
 }
 
-/// Asserts every configuration of a convoy shares the first one's
-/// emulation key (`pbs`, `emu`, `max_insts`); timing-side fields are
-/// free to differ.
-fn check_convoy_key<'a>(configs: &'a [SimConfig], what: &str) -> &'a SimConfig {
+/// The streamed replay body (see [`Simulation::run_many`]): emulates
+/// `program` once, draining each captured chunk through one timing
+/// consumer per configuration before capturing the next. Emulation and
+/// cache pre-simulation run once, and only a single chunk-sized buffer
+/// is ever live.
+fn run_streamed(program: &Program, configs: &[SimConfig]) -> Result<Vec<SimReport>, EmuError> {
     let key = configs
         .first()
-        .unwrap_or_else(|| panic!("{what} needs at least one configuration"));
+        .expect("run_many needs at least one configuration");
     for cfg in &configs[1..] {
-        assert_eq!(cfg.pbs, key.pbs, "convoy cells must share the PBS config");
+        assert_eq!(cfg.pbs, key.pbs, "streamed cells must share the PBS config");
         assert_eq!(
             cfg.emu, key.emu,
-            "convoy cells must share the emulator config"
+            "streamed cells must share the emulator config"
         );
         assert_eq!(
             cfg.max_insts, key.max_insts,
-            "convoy cells must share the instruction budget"
+            "streamed cells must share the instruction budget"
         );
     }
-    key
-}
-
-/// The streamed-convoy body (see [`EngineKind::Convoy`]): emulates
-/// `program` once, draining each captured chunk through one timing
-/// consumer per configuration in a single fused loop — every consumer
-/// batch-predicts the chunk, then all `k` timing models advance in
-/// lockstep over their prediction feeds. Emulation and cache
-/// pre-simulation run once, and only a single chunk-sized buffer is
-/// ever live.
-fn run_convoy(program: &Program, configs: &[SimConfig]) -> Result<Vec<SimReport>, EmuError> {
-    let key = check_convoy_key(configs, "simulate_convoy");
     let mut stream = TraceStream::new(program, key);
     let mut consumers: Vec<ReplayConsumer> = configs.iter().map(ReplayConsumer::new).collect();
-    if crate::aot::capture_overlap() {
-        run_convoy_pipelined(&mut stream, &mut consumers)?;
-    } else {
-        let mut chunk = TraceChunk::with_chunk_capacity();
-        while stream.fill(&mut chunk)? {
-            drain_chunk_convoy(&mut consumers, stream.timings(), &chunk);
-        }
+    let mut chunk = TraceChunk::with_chunk_capacity();
+    while stream.fill(&mut chunk)? {
+        drain_chunk_many(&mut consumers, stream.timings(), &chunk);
     }
     let functional = stream.finish();
     Ok(consumers
         .into_iter()
         .map(|c| c.into_report(&functional))
         .collect())
-}
-
-/// The chunk-pipelined convoy loop: a helper thread captures chunk
-/// `N + 1` while the caller drains chunk `N` through the timing
-/// consumers, overlapping emulation with timing on multi-core hosts.
-///
-/// Chunks travel caller-ward through a depth-1 rendezvous channel and
-/// return through an unbounded free list seeded with three buffers, so
-/// at most three chunk-sized allocations are ever live (filling,
-/// in-flight, draining) — the same bounded-memory story as the serial
-/// loop, one buffer wider. The rendezvous channel keeps delivery in
-/// capture order, so a fault or cancellation surfaces after exactly the
-/// chunks a serial fill would have delivered — byte-identical error
-/// semantics. The helper re-enters the caller's [`CancelScope`]
-/// (cancellation scopes are thread-local), so supervised cells still
-/// stop within one poll stride.
-fn run_convoy_pipelined(
-    stream: &mut TraceStream,
-    consumers: &mut [ReplayConsumer],
-) -> Result<(), EmuError> {
-    // Instruction timings are fixed at predecode; clone them so the
-    // drain side can classify records while the helper thread holds the
-    // stream mutably.
-    let timings: Box<[InstTiming]> = stream.timings().into();
-    let token = crate::cancel::current();
-    let (full_tx, full_rx) = mpsc::sync_channel::<Result<Option<TraceChunk>, EmuError>>(1);
-    let (free_tx, free_rx) = mpsc::channel::<TraceChunk>();
-    for _ in 0..3 {
-        free_tx
-            .send(TraceChunk::with_chunk_capacity())
-            .expect("free list holds its receiver");
-    }
-    std::thread::scope(|scope| {
-        let capture = scope.spawn(move || {
-            let _guard = token.map(crate::cancel::CancelScope::enter);
-            while let Ok(mut chunk) = free_rx.recv() {
-                match stream.fill(&mut chunk) {
-                    Ok(true) => {
-                        if full_tx.send(Ok(Some(chunk))).is_err() {
-                            return; // drain side bailed; nothing left to report
-                        }
-                    }
-                    Ok(false) => {
-                        let _ = full_tx.send(Ok(None));
-                        return;
-                    }
-                    Err(e) => {
-                        let _ = full_tx.send(Err(e));
-                        return;
-                    }
-                }
-            }
-        });
-        let mut result = Ok(());
-        while let Ok(msg) = full_rx.recv() {
-            match msg {
-                Ok(Some(chunk)) => {
-                    drain_chunk_convoy(consumers, &timings, &chunk);
-                    // The helper exits after its final send; a closed
-                    // free list here is expected, not an error.
-                    let _ = free_tx.send(chunk);
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        // Close the free list so a helper still waiting for a buffer
-        // unblocks, then surface any capture-thread panic.
-        drop(free_tx);
-        drop(full_rx);
-        capture.join().expect("capture thread panicked");
-        result
-    })
-}
-
-/// The materialized-trace convoy body: drains each chunk of `trace`
-/// through one timing consumer per configuration in the same fused
-/// lockstep loop as [`run_convoy`], without re-emulating — the path
-/// sweeps take when a shared cache already holds the key's trace.
-fn replay_convoy(trace: &DynTrace, configs: &[SimConfig]) -> Result<Vec<SimReport>, EmuError> {
-    let key = check_convoy_key(configs, "simulate_replay_convoy");
-    trace.check_compatible(key);
-    if trace.instructions() >= key.max_insts {
-        return Err(EmuError::InstLimitExceeded {
-            limit: key.max_insts,
-        });
-    }
-    let mut consumers: Vec<ReplayConsumer> = configs.iter().map(ReplayConsumer::new).collect();
-    for chunk in trace.chunks() {
-        crate::cancel::check_current()?;
-        drain_chunk_convoy(&mut consumers, trace.timings(), chunk);
-    }
-    Ok(consumers
-        .into_iter()
-        .map(|c| c.into_report(trace.functional()))
-        .collect())
-}
-
-// ---- legacy free-function entry points --------------------------------
-//
-// Thin wrappers over `Simulation`, kept so call sites predating the
-// engine-keyed API keep compiling. New code goes through
-// `Simulation::new(EngineKind::…)`.
-
-#[doc(hidden)]
-pub fn simulate(program: &Program, config: &SimConfig) -> Result<SimReport, EmuError> {
-    Simulation::new(EngineKind::Fused).run(program, config)
-}
-
-#[doc(hidden)]
-pub fn simulate_reference(program: &Program, config: &SimConfig) -> Result<SimReport, EmuError> {
-    Simulation::new(EngineKind::Reference).run(program, config)
-}
-
-#[doc(hidden)]
-pub fn simulate_replay(trace: &DynTrace, config: &SimConfig) -> Result<SimReport, EmuError> {
-    Simulation::new(EngineKind::Replay).replay(trace, config)
-}
-
-#[doc(hidden)]
-pub fn simulate_convoy(
-    program: &Program,
-    configs: &[SimConfig],
-) -> Result<Vec<SimReport>, EmuError> {
-    Simulation::new(EngineKind::Convoy).run_many(program, configs)
-}
-
-#[doc(hidden)]
-pub fn simulate_replay_convoy(
-    trace: &DynTrace,
-    configs: &[SimConfig],
-) -> Result<Vec<SimReport>, EmuError> {
-    Simulation::new(EngineKind::Convoy).replay_many(trace, configs)
 }
 
 fn build_emulator(program: &Program, config: &SimConfig) -> Emulator {
@@ -765,6 +594,10 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn fused(p: &Program, cfg: &SimConfig) -> Result<SimReport, EmuError> {
+        Simulation::new(EngineKind::Fused).run(p, cfg)
+    }
     use probranch_isa::{CmpOp, ProgramBuilder, Reg};
 
     /// A loop with one ~50% probabilistic branch implemented over an
@@ -798,8 +631,8 @@ mod tests {
     #[test]
     fn pbs_eliminates_prob_mispredictions() {
         let p = prob_workload(20_000);
-        let base = simulate(&p, &SimConfig::default()).unwrap();
-        let pbs = simulate(&p, &SimConfig::default().with_pbs()).unwrap();
+        let base = fused(&p, &SimConfig::default()).unwrap();
+        let pbs = fused(&p, &SimConfig::default().with_pbs()).unwrap();
         // Baseline: the ~50% branch mispredicts heavily.
         assert!(
             base.timing.mispredicts_prob > 5000,
@@ -845,12 +678,12 @@ mod tests {
         // tournament branch predictor with PBS outperforms the
         // TAGE-SC-L predictor."
         let p = prob_workload(20_000);
-        let tage = simulate(
+        let tage = fused(
             &p,
             &SimConfig::default().predictor(PredictorChoice::TageScL),
         )
         .unwrap();
-        let tour_pbs = simulate(
+        let tour_pbs = fused(
             &p,
             &SimConfig::default()
                 .predictor(PredictorChoice::Tournament)
@@ -870,9 +703,9 @@ mod tests {
         let p = prob_workload(5_000);
         let mut cfg = SimConfig::default().predictor(PredictorChoice::Tournament);
         cfg.filter_prob_from_predictor = true;
-        let filtered = simulate(&p, &cfg).unwrap();
+        let filtered = fused(&p, &cfg).unwrap();
         assert_eq!(filtered.timing.mispredicts_prob, 0);
-        let unfiltered = simulate(
+        let unfiltered = fused(
             &p,
             &SimConfig::default().predictor(PredictorChoice::Tournament),
         )
@@ -885,8 +718,8 @@ mod tests {
     #[test]
     fn determinism_across_runs() {
         let p = prob_workload(3_000);
-        let a = simulate(&p, &SimConfig::default().with_pbs()).unwrap();
-        let b = simulate(&p, &SimConfig::default().with_pbs()).unwrap();
+        let a = fused(&p, &SimConfig::default().with_pbs()).unwrap();
+        let b = fused(&p, &SimConfig::default().with_pbs()).unwrap();
         assert_eq!(a.timing, b.timing);
         assert_eq!(a.prob_consumed, b.prob_consumed);
         assert_eq!(a.output(0), b.output(0));
@@ -900,7 +733,7 @@ mod tests {
             ..SimConfig::default()
         };
         assert!(matches!(
-            simulate(&p, &cfg),
+            fused(&p, &cfg),
             Err(EmuError::InstLimitExceeded { .. })
         ));
     }
@@ -923,12 +756,12 @@ mod tests {
     #[test]
     fn wide_core_does_not_regress_ipc() {
         let p = prob_workload(5_000);
-        let narrow = simulate(&p, &SimConfig::default()).unwrap();
+        let narrow = fused(&p, &SimConfig::default()).unwrap();
         let wide_cfg = SimConfig {
             core: OooConfig::wide(),
             ..SimConfig::default()
         };
-        let wide = simulate(&p, &wide_cfg).unwrap();
+        let wide = fused(&p, &wide_cfg).unwrap();
         assert!(wide.timing.ipc() >= narrow.timing.ipc() * 0.99);
     }
 }

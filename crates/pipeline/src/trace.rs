@@ -46,15 +46,14 @@
 //! round-trips byte-identically (property-tested).
 //!
 //! Replay modes on top (see `sim.rs`, behind the `Simulation` entry
-//! point): `EngineKind::Replay` re-times a materialized [`DynTrace`];
-//! the convoy engines drain each chunk through *k* consumers in one
-//! **fused** loop that decodes every record once and advances all `k`
-//! timing models in lockstep. Every consumer batch-predicts the chunk
-//! up front (consumers may filter probabilistic branches differently,
-//! so each gathers its own request stream), which leaves the drain
-//! itself predictor-free: the `k = 1` and `k = 2` loops monomorphize
-//! over prediction feeds, and arbitrary `k` pays only a feed-array
-//! walk per record instead of `k` predictor dispatches per branch.
+//! point): `Simulation::replay` re-times a materialized [`DynTrace`];
+//! `Simulation::run_many` streams one capture through *k* consumers
+//! chunk by chunk, without materializing the trace. Every consumer
+//! batch-predicts the chunk up front (consumers may filter
+//! probabilistic branches differently, so each gathers its own request
+//! stream), which leaves the drain itself predictor-free. The `k = 2`
+//! pair drain decodes every record once and advances both timing
+//! models in lockstep; other group sizes drain consumer by consumer.
 //!
 //! Replay is byte-identical to the fused engine — `SimReport` equality
 //! including `branch_trace`, `prob_consumed` and the error paths — which
@@ -70,7 +69,7 @@ use probranch_predictor::{BranchPredictor, BranchReq, PredictorDispatch};
 
 use probranch_faults as faults;
 
-use crate::aot::{BlockProgram, CaptureTier};
+use crate::aot::BlockProgram;
 use crate::cache::MemoryHierarchy;
 use crate::decode::InstTiming;
 use crate::machine::{BranchEvent, BranchEventKind, EmuConfig, EmuError, Emulator, StepRecord};
@@ -78,9 +77,9 @@ use crate::ooo::OooTimingModel;
 use crate::sim::{SimConfig, SimReport};
 
 /// Records per [`TraceChunk`]: 64 Ki records — small enough to stay
-/// cache-resident while a convoy streams it through several consumers
-/// (and the bounded-memory figure for streaming convoys), large enough
-/// to amortize the per-chunk bookkeeping and consumer switches. In the
+/// cache-resident while a streamed run drains it through several
+/// consumers (and the bounded-memory figure for streamed runs), large
+/// enough to amortize the per-chunk bookkeeping and consumer switches. In the
 /// SoA layout a full chunk is 6 bytes of stream data per record
 /// (384 KiB) plus the run index.
 pub const TRACE_CHUNK_RECORDS: usize = 1 << 16;
@@ -992,9 +991,9 @@ pub struct TraceStream {
     /// instructions) — the divisor `itouched` was sized with.
     pub(crate) pcs_per_line: usize,
     /// The block-compiled form of the program (see `crate::aot`), when
-    /// the selected capture tier, the `capture.block` failpoint and the
-    /// L1-I-residency precondition all allow block execution. `None`
-    /// runs the per-instruction decoded interpreter.
+    /// the L1-I-residency precondition and the `capture.block`
+    /// failpoint allow block execution. `None` runs the
+    /// per-instruction decoded interpreter.
     pub(crate) blocks: Option<BlockProgram>,
     /// Per-block warmth verdicts, parallel to `blocks`' block indices.
     /// Warmth is monotonic — `itouched` lines are only ever set — so a
@@ -1012,6 +1011,13 @@ pub struct TraceStream {
 impl TraceStream {
     /// Starts capturing `program` under `config`'s emulation key.
     pub fn new(program: &Program, config: &SimConfig) -> TraceStream {
+        TraceStream::with_blocks(program, config, true)
+    }
+
+    /// [`new`](TraceStream::new), with block-compiled capture allowed
+    /// or not: `false` pins the capture to the per-instruction
+    /// interpreter.
+    fn with_blocks(program: &Program, config: &SimConfig, allow_blocks: bool) -> TraceStream {
         let emu = match &config.pbs {
             Some(pbs_cfg) => Emulator::with_pbs(
                 program.clone(),
@@ -1037,21 +1043,15 @@ impl TraceStream {
         // `capture.block` failpoint degrades block capture to the
         // interpreter silently — torture runs prove the fallback is
         // byte-invisible.
-        let blocks = if itouched.is_empty() {
+        let blocks = if itouched.is_empty() || !allow_blocks {
             None
         } else {
-            match crate::aot::selected_tier() {
-                CaptureTier::Interp => None,
-                tier => {
-                    let salt = [timings.len() as u64, config.max_insts];
-                    if faults::injected(faults::Site::CaptureBlock, &salt) {
-                        None
-                    } else {
-                        let compiled =
-                            BlockProgram::compile(emu.decoded(), tier == CaptureTier::Generated);
-                        (compiled.compiled_blocks() > 0).then_some(compiled)
-                    }
-                }
+            let salt = [timings.len() as u64, config.max_insts];
+            if faults::injected(faults::Site::CaptureBlock, &salt) {
+                None
+            } else {
+                let compiled = BlockProgram::compile(emu.decoded());
+                (compiled.compiled_blocks() > 0).then_some(compiled)
             }
         };
         let warm_blocks = blocks.as_ref().map_or_else(Box::default, |b| {
@@ -1070,6 +1070,14 @@ impl TraceStream {
             max_insts: config.max_insts,
             halted: false,
         }
+    }
+
+    /// Whether this capture runs block-compiled (see `crate::aot`):
+    /// `false` when the program is not L1-I-resident, the
+    /// `capture.block` failpoint fired, or the stream was pinned to the
+    /// interpreter.
+    pub fn is_block_compiled(&self) -> bool {
+        self.blocks.is_some()
     }
 
     /// The per-pc timing metadata replay consumers index by
@@ -1098,13 +1106,13 @@ impl TraceStream {
 
     /// The interpreter tier of [`fill`](TraceStream::fill): one
     /// [`Emulator::step_decoded`] call per record.
-    pub(crate) fn fill_interp(&mut self, chunk: &mut TraceChunk) -> Result<bool, EmuError> {
+    fn fill_interp(&mut self, chunk: &mut TraceChunk) -> Result<bool, EmuError> {
         chunk.clear();
         if self.halted {
             return Ok(false);
         }
         // Cooperative cancellation: one poll per chunk bounds how much
-        // work a cancelled capture or convoy performs after the fact
+        // work a cancelled capture or streamed run performs after the fact
         // (a chunk is exactly the fused engine's 64 Ki poll stride).
         crate::cancel::check_current()?;
         // Cap the chunk at the remaining instruction budget so the limit
@@ -1179,7 +1187,33 @@ impl DynTrace {
     /// program does not halt within `config.max_insts` — a trace only
     /// exists for a run that completed.
     pub fn capture(program: &Program, config: &SimConfig) -> Result<DynTrace, EmuError> {
-        let mut stream = TraceStream::new(program, config);
+        DynTrace::capture_stream(TraceStream::new(program, config), config)
+    }
+
+    /// [`capture`](DynTrace::capture) through the per-instruction
+    /// interpreter only — the reference block-compiled capture is
+    /// tested against. Same chunks, same errors at the same dynamic
+    /// instruction; only slower.
+    #[doc(hidden)]
+    pub fn capture_interpreted(
+        program: &Program,
+        config: &SimConfig,
+    ) -> Result<DynTrace, EmuError> {
+        DynTrace::capture_stream(TraceStream::with_blocks(program, config, false), config)
+    }
+
+    /// [`capture`](DynTrace::capture) from a stream already started
+    /// with [`TraceStream::new`] under the same `config`, for callers
+    /// that inspect the stream (say, [`TraceStream::is_block_compiled`])
+    /// before draining it.
+    ///
+    /// # Errors
+    ///
+    /// As [`capture`](DynTrace::capture).
+    pub fn capture_stream(
+        mut stream: TraceStream,
+        config: &SimConfig,
+    ) -> Result<DynTrace, EmuError> {
         let mut chunks = Vec::new();
         loop {
             let mut chunk = TraceChunk::with_chunk_capacity();
@@ -1368,7 +1402,7 @@ impl BranchPredictor for PredFeed<'_> {
 
 /// One consumer's per-record step over the SoA stream values: the
 /// shared [`ChunkVisitor`] body of the single-consumer drain and the
-/// fused convoy loops, generic over the concrete predictor type.
+/// fused pair loop, generic over the concrete predictor type.
 struct Step<'a, P: ?Sized> {
     timing: &'a mut OooTimingModel,
     predictor: &'a mut P,
@@ -1443,9 +1477,9 @@ impl<P: BranchPredictor + ?Sized> ChunkVisitor for DrainOne<'_, P> {
     }
 }
 
-/// The fused two-consumer convoy loop: each record is decoded once from
-/// the SoA streams and advances both timing models back to back over
-/// their prediction feeds.
+/// The fused two-consumer loop: each record is decoded once from the
+/// SoA streams and advances both timing models back to back over their
+/// prediction feeds.
 struct DrainTwo<'a, PA: ?Sized, PB: ?Sized> {
     streams: Streams<'a>,
     a: Step<'a, PA>,
@@ -1468,65 +1502,24 @@ impl<PA: BranchPredictor + ?Sized, PB: BranchPredictor + ?Sized> ChunkVisitor
     }
 }
 
-/// The arbitrary-`k` fused convoy loop: record-major over the SoA
-/// streams, advancing every consumer's timing model over its own
-/// prediction feed. With the predictors batched out of the drain, the
-/// `k ≥ 3` fallback pays only a feed-array walk per record — no
-/// per-branch predictor dispatch at any `k`.
-struct DrainMany<'a, 'c> {
-    streams: Streams<'a>,
-    parts: Vec<(&'c mut OooTimingModel, PredFeed<'c>, bool)>,
-}
-
-impl ChunkVisitor for DrainMany<'_, '_> {
-    #[inline(always)]
-    fn plain(&mut self, pc: u32, istall: u8, dlat: u8) {
-        for (timing, feed, filter) in &mut self.parts {
-            let mut step = Step {
-                timing,
-                predictor: feed,
-                filter_prob: *filter,
-            };
-            step.advance(&self.streams, pc, istall, dlat, None);
-        }
-    }
-
-    #[inline(always)]
-    fn branch(&mut self, pc: u32, istall: u8, dlat: u8, ev: BranchEvent) {
-        for (timing, feed, filter) in &mut self.parts {
-            let mut step = Step {
-                timing,
-                predictor: feed,
-                filter_prob: *filter,
-            };
-            step.advance(&self.streams, pc, istall, dlat, Some(ev));
-        }
-    }
-}
-
-/// Drains one chunk through every consumer in a single fused pass:
-/// every consumer's predictor first batch-predicts the whole chunk
-/// ([`ReplayConsumer::batch_predict`]), then each record is decoded
-/// once and all `k` timing models advance in lockstep over their
-/// prediction feeds while the record's streams are hot. `k = 1`
-/// degenerates to the single-consumer drain, `k = 2` — the sweep
-/// pairing — fuses both steps per record, larger convoys walk a feed
-/// array per record.
-pub(crate) fn drain_chunk_convoy(
+/// Drains one chunk through every consumer of a streamed multi-cell
+/// run. `k = 1` is the single-consumer drain. `k = 2` — the sweep
+/// pairing — batch-predicts both consumers, then walks the chunk once,
+/// decoding each record once and advancing both timing models back to
+/// back while the record's streams are hot. Larger groups drain each
+/// consumer in turn.
+pub(crate) fn drain_chunk_many(
     consumers: &mut [ReplayConsumer],
     timings: &[InstTiming],
     chunk: &TraceChunk,
 ) {
-    // Batch phase: consumers may filter probabilistic branches
-    // differently (Figure 9 pairs filtered and unfiltered cells), so
-    // each gathers and predicts its own request stream.
-    for c in consumers.iter_mut() {
-        c.batch_predict(chunk);
-    }
     match consumers {
-        [] => {}
-        [one] => one.drain_chunk(timings, chunk),
         [a, b] => {
+            // Consumers may filter probabilistic branches differently
+            // (Figure 9 pairs filtered and unfiltered cells), so each
+            // gathers and predicts its own request stream.
+            a.batch_predict(chunk);
+            b.batch_predict(chunk);
             let mut fa = PredFeed::new(&a.preds);
             let mut fb = PredFeed::new(&b.preds);
             let mut v = DrainTwo {
@@ -1545,30 +1538,13 @@ pub(crate) fn drain_chunk_convoy(
             walk_chunk(chunk, &mut v);
             debug_assert!(
                 fa.consumed_all() && fb.consumed_all(),
-                "convoy drain left batched predictions unconsumed"
+                "pair drain left batched predictions unconsumed"
             );
         }
-        many => {
-            let mut v = DrainMany {
-                streams: Streams::new(timings),
-                parts: many
-                    .iter_mut()
-                    .map(|c| {
-                        let ReplayConsumer {
-                            ref mut timing,
-                            ref preds,
-                            filter_prob,
-                            ..
-                        } = *c;
-                        (timing, PredFeed::new(preds), filter_prob)
-                    })
-                    .collect(),
-            };
-            walk_chunk(chunk, &mut v);
-            debug_assert!(
-                v.parts.iter().all(|(_, feed, _)| feed.consumed_all()),
-                "convoy drain left batched predictions unconsumed"
-            );
+        each => {
+            for c in each {
+                c.consume_chunk(timings, chunk);
+            }
         }
     }
 }
@@ -1650,7 +1626,7 @@ impl ReplayConsumer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{simulate, PredictorChoice};
+    use crate::sim::{EngineKind, PredictorChoice, Simulation};
     use probranch_isa::{CmpOp, ProgramBuilder, Reg};
 
     /// A loop mixing regular branches, a ~50% probabilistic branch and
@@ -1702,10 +1678,10 @@ mod tests {
     fn capture_then_replay_equals_fused_for_every_config() {
         let p = workload(3000);
         for cfg in configs() {
-            let fused = simulate(&p, &cfg).unwrap();
+            let fused = Simulation::new(EngineKind::Fused).run(&p, &cfg).unwrap();
             let trace = DynTrace::capture(&p, &cfg).unwrap();
             assert_eq!(trace.instructions(), fused.timing.instructions);
-            let replayed = crate::sim::simulate_replay(&trace, &cfg).unwrap();
+            let replayed = Simulation::default().replay(&trace, &cfg).unwrap();
             assert_eq!(replayed, fused, "replay drift under {cfg:?}");
         }
     }
@@ -1721,8 +1697,8 @@ mod tests {
             PredictorChoice::StaticTaken,
         ] {
             let cfg = SimConfig::default().with_pbs().predictor(predictor);
-            let fused = simulate(&p, &cfg).unwrap();
-            let replayed = crate::sim::simulate_replay(&trace, &cfg).unwrap();
+            let fused = Simulation::new(EngineKind::Fused).run(&p, &cfg).unwrap();
+            let replayed = Simulation::default().replay(&trace, &cfg).unwrap();
             assert_eq!(replayed, fused, "replay drift for {predictor:?}");
         }
     }
@@ -1736,8 +1712,8 @@ mod tests {
         assert!(trace.bytes() > 0);
         let total: usize = trace.chunks().iter().map(TraceChunk::len).sum();
         assert_eq!(total as u64, trace.instructions());
-        let fused = simulate(&p, &cfg).unwrap();
-        assert_eq!(crate::sim::simulate_replay(&trace, &cfg).unwrap(), fused);
+        let fused = Simulation::new(EngineKind::Fused).run(&p, &cfg).unwrap();
+        assert_eq!(Simulation::default().replay(&trace, &cfg).unwrap(), fused);
     }
 
     #[test]
@@ -1773,7 +1749,7 @@ mod tests {
                 max_insts,
                 ..SimConfig::default()
             };
-            let fused = simulate(&p, &cfg);
+            let fused = Simulation::new(EngineKind::Fused).run(&p, &cfg);
             let captured = DynTrace::capture(&p, &cfg).map(|_| ());
             assert_eq!(
                 captured.unwrap_err(),
@@ -1793,8 +1769,8 @@ mod tests {
             ..SimConfig::default()
         };
         assert_eq!(
-            crate::sim::simulate_replay(&trace, &tight),
-            simulate(&p, &tight)
+            Simulation::default().replay(&trace, &tight),
+            Simulation::new(EngineKind::Fused).run(&p, &tight)
         );
     }
 
@@ -1803,6 +1779,6 @@ mod tests {
     fn replay_rejects_mismatched_pbs_key() {
         let p = workload(100);
         let trace = DynTrace::capture(&p, &SimConfig::default()).unwrap();
-        let _ = crate::sim::simulate_replay(&trace, &SimConfig::default().with_pbs());
+        let _ = Simulation::default().replay(&trace, &SimConfig::default().with_pbs());
     }
 }

@@ -54,7 +54,6 @@ impl From<StaticPredictor> for PredictorDispatch {
 /// Expands `$body` once per [`PredictorDispatch`] variant with `$p`
 /// bound to the concrete `&mut` predictor — the single definition of the
 /// per-variant dispatch behind [`PredictorDispatch::visit_mut`],
-/// [`PredictorDispatch::visit_pair_mut`],
 /// [`PredictorDispatch::visit_batch`] and the enum's own
 /// [`BranchPredictor`] methods (each of which would otherwise repeat the
 /// same three-arm match, the boxed-TAGE deref included).
@@ -120,46 +119,12 @@ pub trait PredictorVisitor {
     fn visit<P: BranchPredictor + ?Sized>(self, predictor: &mut P) -> Self::Out;
 }
 
-/// A generic visitor over the concrete predictors behind *two*
-/// [`PredictorDispatch`] values — the monomorphization hook for fused
-/// two-consumer convoy loops.
-///
-/// The common convoy shape is exactly two timing consumers per chunk
-/// (the tournament/TAGE pairing of the figure sweeps, the
-/// filtered/unfiltered pairing of Figure 9). `visit` is generic over
-/// both concrete predictor types, so the double dispatch resolves once
-/// per chunk and the whole fused loop body — both predict/update pairs
-/// included — monomorphizes per predictor *combination*.
-pub trait PredictorPairVisitor {
-    /// The visit result.
-    type Out;
-
-    /// Runs against the two concrete predictors.
-    fn visit<PA: BranchPredictor + ?Sized, PB: BranchPredictor + ?Sized>(
-        self,
-        a: &mut PA,
-        b: &mut PB,
-    ) -> Self::Out;
-}
-
 impl PredictorDispatch {
     /// Applies `visitor` to the concrete predictor behind the enum: one
     /// dispatch for the visitor's whole (monomorphized) body.
     #[inline]
     pub fn visit_mut<V: PredictorVisitor>(&mut self, visitor: V) -> V::Out {
         with_concrete!(self, |p| visitor.visit(p))
-    }
-
-    /// Applies `visitor` to the concrete predictors behind two dispatch
-    /// enums: one double dispatch for the visitor's whole body,
-    /// monomorphized per predictor pairing (nine instantiations).
-    #[inline]
-    pub fn visit_pair_mut<V: PredictorPairVisitor>(
-        a: &mut PredictorDispatch,
-        b: &mut PredictorDispatch,
-        visitor: V,
-    ) -> V::Out {
-        with_concrete!(a, |pa| with_concrete!(b, |pb| visitor.visit(pa, pb)))
     }
 
     /// Runs [`BranchPredictor::predict_update_batch`] against the

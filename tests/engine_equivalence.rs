@@ -1,18 +1,15 @@
-//! Engine-equivalence suite: the fused/predecoded engine (`simulate`),
-//! the unfused reference engine (`simulate_reference`) and the
-//! shared-trace replay engines (`DynTrace::capture` + `simulate_replay`,
-//! and the chunk-streaming `simulate_convoy`) must all produce
+//! Engine-equivalence suite: the fused/predecoded engine
+//! (`EngineKind::Fused`), the unfused reference engine
+//! (`EngineKind::Reference`) and the shared-trace replay engine
+//! (`EngineKind::Replay`: `DynTrace::capture` + `Simulation::replay`,
+//! and the chunk-streaming `Simulation::run_many`) must all produce
 //! **identical** `SimReport`s — timing statistics, PBS counters,
 //! outputs, the consumed probabilistic-value stream, and the per-branch
 //! trace — for every workload of the golden/determinism suites, under
 //! every machine configuration the paper sweeps. Error paths included:
 //! the instruction budget trips at the same dynamic instruction in
-//! every engine.
-//!
-//! The suite exercises both API generations: the legacy free functions
-//! above (now thin wrappers) and the `Simulation`/`EngineKind` entry
-//! type they forward to — including the batched-prediction replay drain
-//! that `EngineKind::Replay` runs through `predict_update_batch`.
+//! every engine. The replay paths all run the batched-prediction chunk
+//! drain through `predict_update_batch`.
 //!
 //! The comparison sweeps run through the parallel experiment harness
 //! with default jobs, so the CI matrix (PROBRANCH_JOBS=1 vs default)
@@ -20,10 +17,10 @@
 //! both serially and in parallel.
 
 use probranch::harness::{run_cells, workload_seed, Cell, Jobs};
+use probranch::isa::Program;
 use probranch::pbs::PbsConfig;
 use probranch::pipeline::{
-    simulate, simulate_convoy, simulate_reference, simulate_replay, simulate_replay_convoy,
-    DynTrace, EngineKind, OooConfig, PredictorChoice, SimConfig, SimReport, Simulation,
+    DynTrace, EmuError, EngineKind, OooConfig, PredictorChoice, SimConfig, SimReport, Simulation,
 };
 use probranch::workloads::{BenchmarkId, Scale};
 
@@ -44,10 +41,18 @@ fn config_for(cell: &Cell, core: OooConfig, trace: bool) -> SimConfig {
     cfg
 }
 
+fn fused(program: &Program, cfg: &SimConfig) -> Result<SimReport, EmuError> {
+    Simulation::new(EngineKind::Fused).run(program, cfg)
+}
+
+fn reference(program: &Program, cfg: &SimConfig) -> Result<SimReport, EmuError> {
+    Simulation::new(EngineKind::Reference).run(program, cfg)
+}
+
 /// Runs the replay engine (capture once, replay once) for `cfg`.
-fn replayed(program: &probranch::isa::Program, cfg: &SimConfig) -> SimReport {
+fn replayed(program: &Program, cfg: &SimConfig) -> SimReport {
     let trace = DynTrace::capture(program, cfg).expect("capture");
-    simulate_replay(&trace, cfg).expect("replay")
+    Simulation::default().replay(&trace, cfg).expect("replay")
 }
 
 fn assert_reports_equal(cell: &Cell, fused: &SimReport, reference: &SimReport) {
@@ -90,8 +95,8 @@ fn fused_engine_matches_reference_on_the_fig6_grid() {
             .program();
         let cfg = config_for(cell, OooConfig::default(), false);
         (
-            simulate(&program, &cfg).expect("fused"),
-            simulate_reference(&program, &cfg).expect("reference"),
+            fused(&program, &cfg).expect("fused"),
+            reference(&program, &cfg).expect("reference"),
             replayed(&program, &cfg),
         )
     });
@@ -101,7 +106,7 @@ fn fused_engine_matches_reference_on_the_fig6_grid() {
     }
 }
 
-/// The redesigned `Simulation` entry point: all four `EngineKind`s —
+/// The `Simulation` entry point: all three `EngineKind`s —
 /// including the default batched replay engine, whose consumers
 /// pre-predict every chunk through `predict_update_batch` — must
 /// produce the same report on the full fig6 grid. The TAGE-SC-L cells
@@ -133,7 +138,7 @@ fn simulation_api_engines_agree_on_the_fig6_grid() {
             EngineKind::ALL.map(|engine| Simulation::new(engine).run(&program, &cfg).expect("run"));
         // `Simulation::replay` is engine-independent by design: a trace
         // fixes the branch stream, so every engine re-times it the same
-        // way. Pin that with a capture replayed under all four kinds.
+        // way. Pin that with a capture replayed under every kind.
         let trace = DynTrace::capture(&program, &cfg).expect("capture");
         let replays = EngineKind::ALL.map(|engine| {
             Simulation::new(engine)
@@ -143,13 +148,12 @@ fn simulation_api_engines_agree_on_the_fig6_grid() {
         (reports, replays)
     });
     for (cell, (reports, replays)) in cells.iter().zip(&outcomes) {
-        let [replay, convoy, fused, reference] = reports;
+        let [replay, fused, reference] = reports;
         assert_eq!(replay, fused, "batched replay vs fused drift on {cell:?}");
         assert_eq!(
             replay, reference,
             "batched replay vs reference drift on {cell:?}"
         );
-        assert_eq!(replay, convoy, "batched replay vs convoy drift on {cell:?}");
         for r in replays {
             assert_eq!(r, replay, "engine-dependent trace replay on {cell:?}");
         }
@@ -157,8 +161,8 @@ fn simulation_api_engines_agree_on_the_fig6_grid() {
 }
 
 /// One trace per (workload, PBS) emulation key must serve *every*
-/// predictor and filter configuration — including a convoy draining all
-/// of them in lockstep from a single streamed capture.
+/// predictor and filter configuration — including one streamed capture
+/// drained through all of them.
 #[test]
 fn one_trace_serves_every_timing_configuration() {
     let keys: Vec<Cell> = BenchmarkId::ALL
@@ -187,35 +191,33 @@ fn one_trace_serves_every_timing_configuration() {
         .collect();
         let fused: Vec<SimReport> = configs
             .iter()
-            .map(|cfg| simulate(&program, cfg).expect("fused"))
+            .map(|cfg| fused(&program, cfg).expect("fused"))
             .collect();
         // Mode (a): one materialized trace, one replay per config.
         let trace = DynTrace::capture(&program, &configs[0]).expect("capture");
         let replays: Vec<SimReport> = configs
             .iter()
-            .map(|cfg| simulate_replay(&trace, cfg).expect("replay"))
+            .map(|cfg| Simulation::default().replay(&trace, cfg).expect("replay"))
             .collect();
-        // Mode (b): one streamed fused convoy over all configs in
-        // lockstep (k = 8 exercises the arbitrary-k fallback loop).
-        let convoy = simulate_convoy(&program, &configs).expect("convoy");
-        // Mode (c): the same fused convoy over the materialized trace.
-        let replay_convoy = simulate_replay_convoy(&trace, &configs).expect("replay convoy");
-        (fused, replays, convoy, replay_convoy)
+        // Mode (b): one streamed capture drained through all configs
+        // (k = 8 exercises the consumer-by-consumer drain).
+        let streamed = Simulation::default()
+            .run_many(&program, &configs)
+            .expect("streamed");
+        (fused, replays, streamed)
     });
-    for (key, (fused, replays, convoy, replay_convoy)) in keys.iter().zip(&outcomes) {
+    for (key, (fused, replays, streamed)) in keys.iter().zip(&outcomes) {
         assert_eq!(fused, replays, "shared-trace replay drift on {key:?}");
-        assert_eq!(fused, convoy, "convoy drift on {key:?}");
-        assert_eq!(fused, replay_convoy, "replay-convoy drift on {key:?}");
+        assert_eq!(fused, streamed, "streamed drift on {key:?}");
     }
 }
 
-/// The fused two-consumer convoy — the monomorphized-per-predictor-pair
-/// loop the Figure 9 sweep and the figure grids drain — must equal `k`
-/// independent `simulate_replay` runs for **every predictor pair** of
-/// the fig9 grid (each predictor against itself and every other, with
-/// the second consumer in the filtered mode), both streamed
-/// (`simulate_convoy`) and over a materialized trace
-/// (`simulate_replay_convoy`).
+/// The fused two-consumer pair drain — the loop a streamed Figure 9
+/// cell drains — must equal two independent fused runs for **every
+/// predictor pair** of the fig9 grid (each predictor against itself and
+/// every other, with the second consumer in the filtered mode), both
+/// streamed (`Simulation::run_many`) and over a materialized trace
+/// (`Simulation::replay_many`).
 #[test]
 fn fused_pair_convoy_matches_independent_replays_for_every_predictor_pair() {
     const PREDICTORS: [PredictorChoice; 4] = [
@@ -239,21 +241,22 @@ fn fused_pair_convoy_matches_independent_replays_for_every_predictor_pair() {
         let pair = [unfiltered, filtered];
         let independent: Vec<SimReport> = pair
             .iter()
-            .map(|cfg| simulate(&program, cfg).expect("fused"))
+            .map(|cfg| fused(&program, cfg).expect("fused"))
             .collect();
-        let streamed = simulate_convoy(&program, &pair).expect("streamed convoy");
+        let streamed = Simulation::default()
+            .run_many(&program, &pair)
+            .expect("streamed pair");
         let trace = DynTrace::capture(&program, &pair[0]).expect("capture");
-        let materialized = simulate_replay_convoy(&trace, &pair).expect("replay convoy");
+        let materialized = Simulation::default()
+            .replay_many(&trace, &pair)
+            .expect("replay pair");
         (independent, streamed, materialized)
     });
     for ((a, b), (independent, streamed, materialized)) in pairs.iter().zip(&outcomes) {
-        assert_eq!(
-            independent, streamed,
-            "streamed pair-convoy drift for {a:?}/{b:?}"
-        );
+        assert_eq!(independent, streamed, "streamed pair drift for {a:?}/{b:?}");
         assert_eq!(
             independent, materialized,
-            "materialized pair-convoy drift for {a:?}/{b:?}"
+            "materialized pair drift for {a:?}/{b:?}"
         );
     }
 }
@@ -272,8 +275,8 @@ fn fused_engine_matches_reference_traces_on_golden_workloads() {
         let program = cell.workload.build(Scale::Smoke, GOLDEN_SEED).program();
         let cfg = config_for(cell, OooConfig::default(), true);
         (
-            simulate(&program, &cfg).expect("fused"),
-            simulate_reference(&program, &cfg).expect("reference"),
+            fused(&program, &cfg).expect("fused"),
+            reference(&program, &cfg).expect("reference"),
             replayed(&program, &cfg),
         )
     });
@@ -319,8 +322,8 @@ fn fused_engine_matches_reference_on_remaining_machine_axes() {
             if pbs {
                 cfg.pbs = Some(PbsConfig::default());
             }
-            let fused = simulate(&program, &cfg).expect("fused");
-            let reference = simulate_reference(&program, &cfg).expect("reference");
+            let fused = fused(&program, &cfg).expect("fused");
+            let reference = reference(&program, &cfg).expect("reference");
             assert_eq!(
                 fused, reference,
                 "report drift: {predictor:?}, filter={filter}, pbs={pbs}"
@@ -346,8 +349,8 @@ fn engines_match_on_instruction_limits() {
             max_insts,
             ..SimConfig::default()
         };
-        let fused = simulate(&program, &cfg);
-        let reference = simulate_reference(&program, &cfg);
+        let fused = fused(&program, &cfg);
+        let reference = reference(&program, &cfg);
         assert_eq!(fused, reference, "limit {max_insts}");
         assert!(fused.is_err(), "limit {max_insts} must trip");
         // Capture under the same budget errors identically…
@@ -357,17 +360,17 @@ fn engines_match_on_instruction_limits() {
             fused.as_ref().err(),
             "capture limit {max_insts}"
         );
-        // …and a convoy propagates it to every cell.
-        let convoy = simulate_convoy(&program, std::slice::from_ref(&cfg));
+        // …and a streamed run propagates it.
+        let streamed = Simulation::default().run_many(&program, std::slice::from_ref(&cfg));
         assert_eq!(
-            convoy.err(),
+            streamed.err(),
             fused.clone().err(),
-            "convoy limit {max_insts}"
+            "streamed limit {max_insts}"
         );
     }
     // A completed trace replayed under budgets at/below its length must
     // return the same error the live engines would — through the
-    // single-consumer replay and the fused replay-convoy alike.
+    // single-cell and the multi-cell replay alike.
     let full = DynTrace::capture(&program, &SimConfig::default()).expect("capture");
     for max_insts in [1, full.instructions(), full.instructions() + 1] {
         let cfg = SimConfig {
@@ -375,15 +378,59 @@ fn engines_match_on_instruction_limits() {
             ..SimConfig::default()
         };
         assert_eq!(
-            simulate_replay(&full, &cfg),
-            simulate(&program, &cfg),
+            Simulation::default().replay(&full, &cfg),
+            fused(&program, &cfg),
             "replay limit {max_insts}"
         );
         assert_eq!(
-            simulate_replay_convoy(&full, std::slice::from_ref(&cfg))
+            Simulation::default()
+                .replay_many(&full, std::slice::from_ref(&cfg))
                 .map(|mut v| v.pop().expect("one report")),
-            simulate(&program, &cfg),
-            "replay-convoy limit {max_insts}"
+            fused(&program, &cfg),
+            "replay-many limit {max_insts}"
+        );
+    }
+}
+
+/// Streamed groups larger than a pair drain consumer by consumer: a
+/// k = 3 `run_many` must equal three independent replays of the
+/// materialized trace — and, when the budget trips, return the fused
+/// engine's error at the same dynamic instruction.
+#[test]
+fn streamed_triple_matches_independent_replays() {
+    let program = BenchmarkId::Photon
+        .build(Scale::Smoke, workload_seed(BenchmarkId::Photon, 3))
+        .program();
+    let triple = |max_insts: u64| {
+        let mut tournament = SimConfig::default().predictor(PredictorChoice::Tournament);
+        tournament.collect_branch_trace = true;
+        let mut filtered = SimConfig::default().predictor(PredictorChoice::TageScL);
+        filtered.filter_prob_from_predictor = true;
+        let wide = SimConfig {
+            core: OooConfig::wide(),
+            predictor: PredictorChoice::StaticTaken,
+            ..SimConfig::default()
+        };
+        [tournament, filtered, wide].map(|cfg| SimConfig { max_insts, ..cfg })
+    };
+    let configs = triple(SimConfig::default().max_insts);
+    let trace = DynTrace::capture(&program, &configs[0]).expect("capture");
+    let independent: Vec<SimReport> = configs
+        .iter()
+        .map(|cfg| Simulation::default().replay(&trace, cfg).expect("replay"))
+        .collect();
+    let streamed = Simulation::default()
+        .run_many(&program, &configs)
+        .expect("streamed triple");
+    assert_eq!(streamed, independent, "streamed triple drift");
+    for max_insts in [1, 64, 65, trace.instructions()] {
+        let configs = triple(max_insts);
+        let expected = fused(&program, &configs[0]);
+        assert!(expected.is_err(), "limit {max_insts} must trip");
+        assert_eq!(
+            Simulation::default().run_many(&program, &configs).err(),
+            expected.err(),
+            "streamed triple limit {max_insts}"
         );
     }
 }

@@ -8,9 +8,8 @@ use probranch::isa::{
 };
 use probranch::pbs::{BranchResolution, PbsConfig, PbsUnit};
 use probranch::pipeline::{
-    simulate, simulate_replay, simulate_replay_convoy, with_capture_tier, BranchEvent,
-    BranchEventKind, Cache, CaptureTier, DynTrace, EmuConfig, Emulator, ExecLatencies, OooConfig,
-    PredictorChoice, ReplayRec, SimConfig, TraceChunk,
+    BranchEvent, BranchEventKind, Cache, DynTrace, EmuConfig, Emulator, EngineKind, ExecLatencies,
+    OooConfig, PredictorChoice, ReplayRec, SimConfig, Simulation, TraceChunk,
 };
 use probranch::predictor::{BranchPredictor, TageScL, Tournament};
 
@@ -240,26 +239,22 @@ proptest! {
         // machine configuration, capturing the dynamic trace once and
         // re-timing it produces the *identical* `SimReport` (timing,
         // outputs, `prob_consumed`, `branch_trace`) — or the identical
-        // error — as the fused engine simulating directly. And all
-        // three capture tiers — native fragments, block-compiled,
-        // decoded interpreter — must capture the identical trace,
-        // error paths (`InstLimitExceeded` at the same dynamic trip
-        // point) included. `replay_workload` is a mixed program for
-        // the block compiler: straight-line xorshift bodies (a native
-        // fragment under the generated tier) interleaved with
-        // rare-op fallbacks (`prob_cmp`/`prob_jmp`/`out`) and block
-        // terminators.
+        // error — as the fused engine simulating directly, and so does
+        // the streamed run that never materializes the trace. And
+        // block-compiled capture must capture the identical trace to
+        // the decoded interpreter, error paths (`InstLimitExceeded` at
+        // the same dynamic trip point) included. `replay_workload` is
+        // a mixed program for the block compiler: straight-line
+        // xorshift bodies interleaved with rare-op fallbacks
+        // (`prob_cmp`/`prob_jmp`/`out`) and block terminators.
         let program = replay_workload(iters);
-        let direct = simulate(&program, &cfg);
-        let interp =
-            with_capture_tier(CaptureTier::Interp, || DynTrace::capture(&program, &cfg));
-        let block = with_capture_tier(CaptureTier::Block, || DynTrace::capture(&program, &cfg));
-        let generated =
-            with_capture_tier(CaptureTier::Generated, || DynTrace::capture(&program, &cfg));
+        let direct = Simulation::new(EngineKind::Fused).run(&program, &cfg);
+        let interp = DynTrace::capture_interpreted(&program, &cfg);
+        let block = DynTrace::capture(&program, &cfg);
         prop_assert_eq!(&block, &interp);
-        prop_assert_eq!(&generated, &interp);
-        let via_trace = interp.and_then(|trace| simulate_replay(&trace, &cfg));
-        prop_assert_eq!(via_trace, direct);
+        let via_trace = interp.and_then(|trace| Simulation::default().replay(&trace, &cfg));
+        prop_assert_eq!(&via_trace, &direct);
+        prop_assert_eq!(Simulation::default().run(&program, &cfg), direct);
     }
 
     #[test]
@@ -267,11 +262,11 @@ proptest! {
         pad in 1usize..40,
         budget in 3u64..2_000,
     ) {
-        // A straight-line block faulting mid-body: every capture tier
-        // must commit exactly the same record prefix and surface the
-        // identical structured error — `MemoryFault` when the budget
-        // covers the faulting load, `InstLimitExceeded` when it trips
-        // first.
+        // A straight-line block faulting mid-body: block-compiled
+        // capture must commit exactly the interpreter's record prefix
+        // and surface the identical structured error — `MemoryFault`
+        // when the budget covers the faulting load,
+        // `InstLimitExceeded` when it trips first.
         let mut b = probranch::isa::ProgramBuilder::new();
         for _ in 0..pad {
             b.add(Reg::R1, Reg::R1, 1);
@@ -281,12 +276,14 @@ proptest! {
         b.halt();
         let program = b.build().unwrap();
         let cfg = SimConfig { max_insts: budget, ..SimConfig::default() };
-        let interp =
-            with_capture_tier(CaptureTier::Interp, || DynTrace::capture(&program, &cfg));
-        let block = with_capture_tier(CaptureTier::Block, || DynTrace::capture(&program, &cfg));
+        let interp = DynTrace::capture_interpreted(&program, &cfg);
+        let block = DynTrace::capture(&program, &cfg);
         prop_assert_eq!(&block, &interp);
         prop_assert!(block.is_err());
-        prop_assert_eq!(block.err(), simulate(&program, &cfg).err());
+        prop_assert_eq!(
+            block.err(),
+            Simulation::new(EngineKind::Fused).run(&program, &cfg).err()
+        );
     }
 
     #[test]
@@ -329,7 +326,10 @@ proptest! {
         match DynTrace::capture(&program, &cfg) {
             Err(e) => {
                 // Error paths agree with the fused engine…
-                prop_assert_eq!(Err(e), simulate(&program, &cfg).map(|_| ()));
+                prop_assert_eq!(
+                    Err(e),
+                    Simulation::new(EngineKind::Fused).run(&program, &cfg).map(|_| ())
+                );
             }
             Ok(trace) => {
                 let total: usize = trace.chunks().iter().map(TraceChunk::len).sum();
@@ -355,10 +355,9 @@ proptest! {
         // The zero-copy load invariant of the v2 trace store: for any
         // capturable configuration, persisting a trace and loading it
         // back memory-mapped yields a `DynTrace` equal to the fully
-        // owned decode of the same file, and every engine consuming the
-        // mapped chunks — single replay and multi-consumer convoy —
-        // returns byte-identical reports to the freshly captured,
-        // fully owned trace.
+        // owned decode of the same file, and replaying the mapped chunks
+        // returns a byte-identical report to the freshly captured, fully
+        // owned trace.
         let program = replay_workload(iters);
         // Budget-tripping configs have no trace to persist; the error
         // agreement is covered by the capture round-trip test above.
@@ -380,18 +379,8 @@ proptest! {
         };
         prop_assert_eq!(&mapped, &owned);
         prop_assert_eq!(&mapped, &trace);
-        prop_assert_eq!(simulate_replay(&mapped, &cfg), simulate_replay(&trace, &cfg));
-        // Convoy over mapped chunks: two consumers sharing the map.
-        let mut other = cfg.clone();
-        other.predictor = match cfg.predictor {
-            PredictorChoice::Tournament => PredictorChoice::TageScL,
-            _ => PredictorChoice::Tournament,
-        };
-        let configs = [cfg.clone(), other];
-        prop_assert_eq!(
-            simulate_replay_convoy(&mapped, &configs),
-            simulate_replay_convoy(&trace, &configs)
-        );
+        let sim = Simulation::default();
+        prop_assert_eq!(sim.replay(&mapped, &cfg), sim.replay(&trace, &cfg));
     }
 
     #[test]
@@ -507,7 +496,7 @@ proptest! {
         // cycles >= instructions / width: the core cannot beat its width.
         let pi = probranch::workloads::Pi { samples: iters, seed: 7 };
         use probranch::workloads::Benchmark;
-        let r = probranch::pipeline::simulate(&pi.program(), &SimConfig::default()).unwrap();
+        let r = probranch::pipeline::Simulation::new(probranch::pipeline::EngineKind::Fused).run(&pi.program(), &SimConfig::default()).unwrap();
         prop_assert!(r.timing.cycles >= r.timing.instructions / 4);
     }
 }
