@@ -14,11 +14,7 @@ fn run(prog: &probranch_isa::Program, pbs: PbsConfig) -> f64 {
         pbs: Some(pbs),
         ..SimConfig::default()
     };
-    Simulation::new(EngineKind::Fused)
-        .run(prog, &cfg)
-        .unwrap()
-        .timing
-        .mpki()
+    Simulation::default().run(prog, &cfg).unwrap().timing.mpki()
 }
 
 fn bench(c: &mut Criterion) {
@@ -37,7 +33,7 @@ fn bench(c: &mut Criterion) {
     ] {
         let b = id.build(w, 12345);
         let prog = b.program();
-        let base = Simulation::new(EngineKind::Fused)
+        let base = Simulation::default()
             .run(&prog, &SimConfig::default())
             .unwrap()
             .timing

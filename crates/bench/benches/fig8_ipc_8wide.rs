@@ -23,13 +23,7 @@ fn bench(c: &mut Criterion) {
             pbs: Some(PbsConfig::default()),
             ..SimConfig::default()
         };
-        b.iter(|| {
-            Simulation::new(EngineKind::Fused)
-                .run(&prog, &cfg)
-                .unwrap()
-                .timing
-                .ipc()
-        })
+        b.iter(|| Simulation::default().run(&prog, &cfg).unwrap().timing.ipc())
     });
 }
 

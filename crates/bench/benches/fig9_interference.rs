@@ -23,7 +23,7 @@ fn bench(c: &mut Criterion) {
             ..SimConfig::default()
         };
         b.iter(|| {
-            Simulation::new(EngineKind::Fused)
+            Simulation::default()
                 .run(&prog, &cfg)
                 .unwrap()
                 .timing

@@ -1,6 +1,7 @@
-//! `sim-throughput`: engine-speed microbenchmarks — the fused engine
-//! against the unfused reference on one representative cell from each
-//! side of the PBS split, plus the predecode pass itself.
+//! `sim-throughput`: engine-speed microbenchmarks — the default replay
+//! engine (a streamed capture) against the reference oracle on one
+//! representative cell from each side of the PBS split, plus the
+//! predecode pass itself.
 //!
 //! For the full measured-MIPS grid (and the committed
 //! `BENCH_throughput.json` baseline), use:
@@ -26,9 +27,9 @@ fn bench_engines(c: &mut Criterion) {
     let pi = BenchmarkId::Pi.build(Scale::Smoke, 7).program();
     let bandit = BenchmarkId::Bandit.build(Scale::Smoke, 7).program();
 
-    c.bench_function("sim-throughput/fused/pi+pbs", |b| {
+    c.bench_function("sim-throughput/replay/pi+pbs", |b| {
         b.iter(|| {
-            Simulation::new(EngineKind::Fused)
+            Simulation::default()
                 .run(black_box(&pi), &config(true))
                 .unwrap()
                 .timing
@@ -44,9 +45,9 @@ fn bench_engines(c: &mut Criterion) {
                 .cycles
         })
     });
-    c.bench_function("sim-throughput/fused/bandit", |b| {
+    c.bench_function("sim-throughput/replay/bandit", |b| {
         b.iter(|| {
-            Simulation::new(EngineKind::Fused)
+            Simulation::default()
                 .run(black_box(&bandit), &config(false))
                 .unwrap()
                 .timing

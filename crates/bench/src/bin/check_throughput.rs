@@ -4,31 +4,19 @@
 //! check_throughput BASELINE.json FRESH.json [--tolerance 0.30]
 //! ```
 //!
-//! Compares the fused-engine MIPS of every cell in `FRESH` against the
-//! committed `BASELINE` — and, when both reports carry them, the
-//! replay-engine (`probranch-throughput/2`+), fused-convoy
-//! (`probranch-throughput/3`+) and batched-drain
-//! (`probranch-throughput/4`+) MIPS too — exiting nonzero if any
-//! compared number regressed by more than the tolerance (default 30%,
-//! absorbing runner-to-runner noise). Older baselines are still
-//! accepted: a v1 (no replay fields), v2 (no convoy fields) or v3 (no
-//! batched fields) report gates the fields it carries and the rest is
-//! skipped per cell, never failed. (Across v2→v3 the replay semantics
-//! changed from a convoy consumer share to a materialized-trace
-//! replay; both measure the same drain loop, so the cross-schema
-//! comparison stays meaningful within the gate's tolerance. v5 adds
-//! only store accounting — hits/demotions/evictions/peak bytes in the
-//! sweep section — and v6 only the self-healing counters
-//! (stale_rejected/quarantined), so v4 through v7 cells compare
-//! directly. v8 additionally gates per-key trace-capture MIPS: when
-//! both reports carry `capture_mips` lines, each key's capture
-//! throughput is compared under the same tolerance, so a capture-tier
-//! regression — block-compiled keys silently degrading to the
-//! interpreter — fails CI even though the figures themselves stay
-//! byte-identical.) Skips
-//! entirely — exit 0 with a notice — when the baseline file is
-//! missing, a schema is unknown, or the two reports were measured at
-//! different scales.
+//! Compares every cell and capture key of `FRESH` against the committed
+//! `BASELINE`, exiting nonzero if any compared number regressed by more
+//! than the tolerance (default 30%, absorbing runner-to-runner noise).
+//! Per cell the gate compares the replay, batched-drain and
+//! streamed-pair (`convoy`) MIPS; per emulation key it compares the
+//! trace-capture MIPS, so a capture-tier regression — block-compiled
+//! keys silently degrading to the interpreter — fails CI even though
+//! the figures themselves stay byte-identical. A number gates only when
+//! both reports carry it. Schemas `probranch-throughput/8` and `/9` are
+//! accepted (`/9` only drops the fused-engine fields, which are not
+//! gated). Skips entirely — exit 0 with a notice — when the baseline
+//! file is missing, a schema is unknown, or the two reports were
+//! measured at different scales.
 //!
 //! Both files use the line-oriented layout of
 //! `probranch_bench::throughput::ThroughputReport::to_json` (one cell
@@ -38,16 +26,7 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-const KNOWN_SCHEMAS: [&str; 8] = [
-    "probranch-throughput/1",
-    "probranch-throughput/2",
-    "probranch-throughput/3",
-    "probranch-throughput/4",
-    "probranch-throughput/5",
-    "probranch-throughput/6",
-    "probranch-throughput/7",
-    "probranch-throughput/8",
-];
+const KNOWN_SCHEMAS: [&str; 2] = ["probranch-throughput/8", "probranch-throughput/9"];
 
 /// Extracts the raw text of `"key":<value>` from a single line, value
 /// ending at `,` or `}`.
@@ -69,17 +48,15 @@ fn header_field(text: &str, key: &str) -> Option<String> {
     })
 }
 
-/// Per-cell measurements: fused MIPS always, replay/convoy/batched
-/// MIPS when the report's schema carries them.
+/// Per-cell measurements, each present when the report carries it.
 struct CellMips {
-    fused: f64,
     replay: Option<f64>,
     convoy: Option<f64>,
     batched: Option<f64>,
 }
 
-/// One emulation key's capture throughput, with the tier tag (v8+)
-/// kept for the regression message.
+/// One emulation key's capture throughput, with the tier tag kept for
+/// the regression message.
 struct CaptureMips {
     mips: f64,
     tier: Option<String>,
@@ -98,19 +75,24 @@ fn parse(
 ) {
     let mut cells = BTreeMap::new();
     let mut captures = BTreeMap::new();
+    let number = |line: &str, key: &str| raw_field(line, key).and_then(|v| v.parse::<f64>().ok());
     for line in text.lines().filter(|l| l.contains("\"workload\"")) {
-        let (Some(w), Some(p), Some(pbs), Some(mips)) = (
-            raw_field(line, "workload"),
-            raw_field(line, "predictor"),
-            raw_field(line, "pbs"),
-            raw_field(line, "fused_mips"),
-        ) else {
-            if let (Some(w), Some(pbs), Some(mips)) = (
-                raw_field(line, "workload"),
-                raw_field(line, "pbs"),
-                raw_field(line, "capture_mips"),
-            ) {
-                if let Ok(mips) = mips.parse::<f64>() {
+        let (Some(w), Some(pbs)) = (raw_field(line, "workload"), raw_field(line, "pbs")) else {
+            continue;
+        };
+        match raw_field(line, "predictor") {
+            Some(p) => {
+                cells.insert(
+                    format!("{w}|{p}|{pbs}"),
+                    CellMips {
+                        replay: number(line, "replay_mips"),
+                        convoy: number(line, "convoy_mips"),
+                        batched: number(line, "batched_mips"),
+                    },
+                );
+            }
+            None => {
+                if let Some(mips) = number(line, "capture_mips") {
                     captures.insert(
                         format!("{w}|{pbs}"),
                         CaptureMips {
@@ -120,21 +102,6 @@ fn parse(
                     );
                 }
             }
-            continue;
-        };
-        if let Ok(fused) = mips.parse::<f64>() {
-            let replay = raw_field(line, "replay_mips").and_then(|v| v.parse::<f64>().ok());
-            let convoy = raw_field(line, "convoy_mips").and_then(|v| v.parse::<f64>().ok());
-            let batched = raw_field(line, "batched_mips").and_then(|v| v.parse::<f64>().ok());
-            cells.insert(
-                format!("{w}|{p}|{pbs}"),
-                CellMips {
-                    fused,
-                    replay,
-                    convoy,
-                    batched,
-                },
-            );
         }
     }
     (header_field(text, "scale"), cells, captures)
@@ -197,7 +164,7 @@ fn main() -> ExitCode {
 
     let mut failures = 0usize;
     let mut compared = 0usize;
-    let mut replay_compared = 0usize;
+    let mut gated = 0usize;
     for (key, base) in &baseline {
         let Some(fresh_cell) = fresh.get(key) else {
             eprintln!("REGRESSION {key}: cell missing from fresh report");
@@ -205,19 +172,6 @@ fn main() -> ExitCode {
             continue;
         };
         compared += 1;
-        let floor = base.fused * (1.0 - tolerance);
-        if fresh_cell.fused < floor {
-            eprintln!(
-                "REGRESSION {key} (fused): {:.2} MIPS < {floor:.2} (baseline {:.2}, tolerance {:.0}%)",
-                fresh_cell.fused,
-                base.fused,
-                tolerance * 100.0
-            );
-            failures += 1;
-        }
-        // Replay/convoy/batched cells gate only when both reports carry
-        // them — an older baseline simply has no such numbers to
-        // regress against.
         for (what, base_v, fresh_v) in [
             ("replay", base.replay, fresh_cell.replay),
             ("convoy", base.convoy, fresh_cell.convoy),
@@ -226,7 +180,7 @@ fn main() -> ExitCode {
             let (Some(base_v), Some(fresh_v)) = (base_v, fresh_v) else {
                 continue;
             };
-            replay_compared += 1;
+            gated += 1;
             let floor = base_v * (1.0 - tolerance);
             if fresh_v < floor {
                 eprintln!(
@@ -237,8 +191,6 @@ fn main() -> ExitCode {
             }
         }
     }
-    // Per-key capture cells gate only when both reports carry them —
-    // pre-v8 baselines have no capture numbers to regress against.
     let mut capture_compared = 0usize;
     for (key, base) in &base_captures {
         let Some(fresh_cap) = fresh_captures.get(key) else {
@@ -260,7 +212,7 @@ fn main() -> ExitCode {
         }
     }
     println!(
-        "check_throughput: {compared} cells compared (+{replay_compared} replay/convoy/batched, +{capture_compared} capture comparisons), {failures} regressions (tolerance {:.0}%)",
+        "check_throughput: {compared} cells compared ({gated} replay/convoy/batched, +{capture_compared} capture comparisons), {failures} regressions (tolerance {:.0}%)",
         tolerance * 100.0
     );
     if failures > 0 {

@@ -7,7 +7,7 @@
 //! Scales: `smoke` (seconds), `bench` (default, ~2 minutes), `paper`
 //! (figure-quality, ~10 minutes). The scale can also be set through the
 //! `PROBRANCH_SCALE` environment variable; the flag wins when both are
-//! given.
+//! given, and an environment value is validated exactly like the flag.
 //!
 //! `--jobs N` selects the worker count of the parallel experiment
 //! engine (default: `PROBRANCH_JOBS`, else all available cores). The
@@ -25,7 +25,7 @@
 //! trace directory.
 //!
 //! `--emit-bench-json PATH` switches to throughput-benchmark mode: runs
-//! the `sim-throughput` sweep (fig6 grid; fused, reference, replay and
+//! the `sim-throughput` sweep (fig6 grid; reference, replay and
 //! streamed-pair runs plus the shared-pool fig6+fig7 sweep), writes
 //! the measured-MIPS report as JSON to `PATH`, and prints the summary
 //! plus wall time to stderr. All timing lives behind this flag.
@@ -37,7 +37,11 @@ use probranch_harness::{Jobs, StrictViolation, SupervisedError, Supervision};
 
 struct Options {
     scale: ExperimentScale,
+    /// `--jobs`, when given.
     jobs: Option<Jobs>,
+    /// `PROBRANCH_JOBS`, when set and `--jobs` is absent: the figure
+    /// and service runs fall back to it, the throughput bench does not.
+    env_jobs: Option<Jobs>,
     engine: Engine,
     bench_json: Option<String>,
     trace_dir: Option<String>,
@@ -63,6 +67,31 @@ fn parse_bytes(v: &str) -> Option<usize> {
         .parse::<usize>()
         .ok()
         .and_then(|n| n.checked_shl(shift).filter(|_| n.leading_zeros() >= shift))
+}
+
+/// Parses a `--scale` / `PROBRANCH_SCALE` value, exiting with a usage
+/// error naming `source` on anything else.
+fn parse_scale(value: &str, source: &str) -> ExperimentScale {
+    ExperimentScale::parse(value)
+        .unwrap_or_else(|| usage(&format!("unknown scale `{value}` in {source}")))
+}
+
+/// Parses a `--jobs` / `PROBRANCH_JOBS` value (0 means all cores),
+/// exiting with a usage error naming `source` on anything else.
+fn parse_jobs(value: &str, source: &str) -> Jobs {
+    let n: usize = value
+        .parse()
+        .unwrap_or_else(|_| usage(&format!("invalid job count `{value}` in {source}")));
+    if n == 0 {
+        Jobs::available()
+    } else {
+        Jobs::new(n)
+    }
+}
+
+/// A non-empty environment variable's value.
+fn env_value(name: &str) -> Option<String> {
+    std::env::var(name).ok().filter(|v| !v.is_empty())
 }
 
 fn parse_args() -> Options {
@@ -117,24 +146,13 @@ fn parse_args() -> Options {
                 if scale.is_some() {
                     usage("--scale given twice");
                 }
-                scale = Some(
-                    ExperimentScale::parse(&value)
-                        .unwrap_or_else(|| usage(&format!("unknown scale `{value}`"))),
-                );
+                scale = Some(parse_scale(&value, "--scale"));
             }
             "--jobs" => {
                 if jobs.is_some() {
                     usage("--jobs given twice");
                 }
-                let n: usize = value
-                    .parse()
-                    .unwrap_or_else(|_| usage(&format!("invalid job count `{value}`")));
-                // 0 means "auto", matching PROBRANCH_JOBS.
-                jobs = Some(if n == 0 {
-                    Jobs::available()
-                } else {
-                    Jobs::new(n)
-                });
+                jobs = Some(parse_jobs(&value, "--jobs"));
             }
             "--engine" => {
                 if engine.is_some() {
@@ -204,20 +222,26 @@ fn parse_args() -> Options {
             _ => unreachable!(),
         }
     }
-    // The PROBRANCH_FAULTS environment variable seeds a plan when the
-    // flag is absent (the torture CI job's hook).
+    // Environment variables stand in for absent flags and go through
+    // the same parsers: a typo is a usage error, never a silent default.
+    // PROBRANCH_FAULTS is the torture CI job's hook.
     if fault_plan.is_none() {
-        if let Ok(spec) = std::env::var("PROBRANCH_FAULTS") {
-            if !spec.is_empty() {
-                fault_plan = Some(faults::FaultPlan::parse(&spec).unwrap_or_else(|e| {
-                    usage(&format!("invalid PROBRANCH_FAULTS plan `{spec}`: {e}"))
-                }));
-            }
+        if let Some(spec) = env_value("PROBRANCH_FAULTS") {
+            fault_plan = Some(faults::FaultPlan::parse(&spec).unwrap_or_else(|e| {
+                usage(&format!("invalid PROBRANCH_FAULTS plan `{spec}`: {e}"))
+            }));
         }
     }
+    let scale =
+        scale.or_else(|| env_value("PROBRANCH_SCALE").map(|v| parse_scale(&v, "PROBRANCH_SCALE")));
+    let env_jobs = match jobs {
+        Some(_) => None,
+        None => env_value("PROBRANCH_JOBS").map(|v| parse_jobs(v.trim(), "PROBRANCH_JOBS")),
+    };
     Options {
-        scale: scale.unwrap_or_else(ExperimentScale::from_env),
+        scale: scale.unwrap_or(ExperimentScale::Bench),
         jobs,
+        env_jobs,
         engine: engine.unwrap_or_default(),
         bench_json,
         trace_dir,
@@ -231,7 +255,7 @@ fn parse_args() -> Options {
 }
 
 fn usage(error: &str) -> ! {
-    let text = "usage: figures [--scale smoke|bench|paper] [--jobs N]\n               [--engine replay|fused|reference]\n               [--trace-dir DIR] [--trace-mem-budget BYTES]\n               [--fault-plan SPEC] [--strict-traces]\n               [--cell-retries N] [--cell-deadline-ms MS]\n               [--emit-bench-json PATH] [--serve ADDR]\n       --fault-plan SPEC: arm seeded failpoints for the run, e.g.\n        `seed=7,persist.write=0.5x3,cell.panic=0.2` (sites:\n        persist.write/.enospc/.short/.fsync/.rename, mmap.load,\n        capture, capture.block (block-compiled capture degrades to the\n        interpreter), cell.panic, cell.delay, cancel.spurious,\n        serve.accept/.read/.write/.drop; probability in [0,1],\n        optional xCOUNT budget). Decisions are pure functions of\n        (seed, site, salt), so a plan misbehaves identically across\n        reruns and worker counts. PROBRANCH_FAULTS holds a plan when\n        the flag is absent. The run either survives with\n        byte-identical stdout or exits 3 with a structured error\n        naming the exhausted cell.\n       --strict-traces: turn every degradation path (stale rejection,\n        quarantine, persistence shutdown, engine fallback) into a hard\n        structured error instead of self-healing.\n       --cell-retries N: extra attempts per supervised cell\n        (default 3: requested engine twice, then fused, then\n        reference).\n       --cell-deadline-ms MS: per-cell deadline; the simulation\n        engines poll a cancel token per chunk, so an overrunning cell\n        is cooperatively cancelled at its next poll point (a\n        structured DeadlineExceeded failure feeding the retry\n        cascade). Bodies that never poll still complete and are only\n        flagged on stderr.\n       (or set PROBRANCH_SCALE / PROBRANCH_JOBS; default: bench scale,\n        all cores; --jobs 0 also means all cores)\n       --engine: simulation engine for the timing sweeps (default:\n        replay — emulate each workload once per (workload, seed, PBS)\n        key into a run-wide trace pool shared by every sweep, and\n        re-time the pooled trace for every predictor/core/filter cell;\n        fused/reference re-simulate every cell — both for differential\n        debugging). All three print byte-identical tables.\n       --trace-dir DIR: persist captured traces under DIR, keyed by a\n        content hash of (workload, seed derivation, PBS/emulator\n        config, ISA version); later runs memory-map the files instead\n        of emulating (zero-copy record streams). Stale or corrupt files\n        fall back to capture; orphaned writer temp files and old\n        quarantined files are swept on open. stdout stays\n        byte-identical with or without the flag.\n       --trace-mem-budget BYTES: bound the in-memory trace pool\n        (optional k/m/g suffix, e.g. 64m). Over budget, the coldest\n        pooled traces are demoted to their mmap-backed persisted form\n        (with --trace-dir) or evicted and re-captured on next use.\n        stdout stays byte-identical for any budget.\n       --emit-bench-json PATH: run the sim-throughput sweep instead of\n        the figures, writing measured MIPS per cell (fused, reference,\n        replay and streamed-pair runs, per-key trace-capture\n        overhead, plus the shared-pool fig6+fig7 sweep aggregate) to\n        PATH (serial unless --jobs is given; all wall-clock timing\n        lives here)\n       --serve ADDR: run as the resilient sweep service instead of a\n        one-shot sweep — bind ADDR (e.g. 127.0.0.1:7633), answer\n        probranch-client requests over one shared trace pool with\n        admission control, request coalescing and per-request\n        cancellation deadlines; SIGINT/SIGTERM or a `shutdown` request\n        drains in-flight sweeps, flushes pending demotions, prints the\n        service counters and exits 0. Each section's bytes match the\n        in-process run exactly.";
+    let text = "usage: figures [--scale smoke|bench|paper] [--jobs N]\n               [--engine replay|reference]\n               [--trace-dir DIR] [--trace-mem-budget BYTES]\n               [--fault-plan SPEC] [--strict-traces]\n               [--cell-retries N] [--cell-deadline-ms MS]\n               [--emit-bench-json PATH] [--serve ADDR]\n       --fault-plan SPEC: arm seeded failpoints for the run, e.g.\n        `seed=7,persist.write=0.5x3,cell.panic=0.2` (sites:\n        persist.write/.enospc/.short/.fsync/.rename, mmap.load,\n        capture, capture.block (block-compiled capture degrades to the\n        interpreter), cell.panic, cell.delay, cancel.spurious,\n        serve.accept/.read/.write/.drop; probability in [0,1],\n        optional xCOUNT budget). Decisions are pure functions of\n        (seed, site, salt), so a plan misbehaves identically across\n        reruns and worker counts. PROBRANCH_FAULTS holds a plan when\n        the flag is absent. The run either survives with\n        byte-identical stdout or exits 3 with a structured error\n        naming the exhausted cell.\n       --strict-traces: turn every degradation path (stale rejection,\n        quarantine, persistence shutdown, engine fallback) into a hard\n        structured error instead of self-healing.\n       --cell-retries N: extra attempts per supervised cell\n        (default 3: requested engine twice, then reference).\n       --cell-deadline-ms MS: per-cell deadline; the simulation\n        engines poll a cancel token per chunk, so an overrunning cell\n        is cooperatively cancelled at its next poll point (a\n        structured DeadlineExceeded failure feeding the retry\n        cascade). Bodies that never poll still complete and are only\n        flagged on stderr.\n       (or set PROBRANCH_SCALE / PROBRANCH_JOBS, validated like the\n        flags; default: bench scale, all cores; 0 jobs means all\n        cores)\n       --engine: simulation engine for the timing sweeps (default:\n        replay — emulate each workload once per (workload, seed, PBS)\n        key into a run-wide trace pool shared by every sweep, and\n        re-time the pooled trace for every predictor/core/filter cell;\n        reference re-simulates every cell through the independent\n        Inst-level oracle, for differential debugging). Both print\n        byte-identical tables.\n       --trace-dir DIR: persist captured traces under DIR, keyed by a\n        content hash of (workload, seed derivation, PBS/emulator\n        config, ISA version); later runs memory-map the files instead\n        of emulating (zero-copy record streams). Stale or corrupt files\n        fall back to capture; orphaned writer temp files and old\n        quarantined files are swept on open. stdout stays\n        byte-identical with or without the flag.\n       --trace-mem-budget BYTES: bound the in-memory trace pool\n        (optional k/m/g suffix, e.g. 64m). Over budget, the coldest\n        pooled traces are demoted to their mmap-backed persisted form\n        (with --trace-dir) or evicted and re-captured on next use.\n        stdout stays byte-identical for any budget.\n       --emit-bench-json PATH: run the sim-throughput sweep instead of\n        the figures, writing measured MIPS per cell (reference, replay\n        and streamed-pair runs, per-key trace-capture overhead, plus\n        the shared-pool fig6+fig7 sweep aggregate) to PATH (serial\n        unless --jobs is given; all wall-clock timing lives here)\n       --serve ADDR: run as the resilient sweep service instead of a\n        one-shot sweep — bind ADDR (e.g. 127.0.0.1:7633), answer\n        probranch-client requests over one shared trace pool with\n        admission control, request coalescing and per-request\n        cancellation deadlines; SIGINT/SIGTERM or a `shutdown` request\n        drains in-flight sweeps, flushes pending demotions, prints the\n        service counters and exits 0. Each section's bytes match the\n        in-process run exactly.";
     if error.is_empty() {
         println!("{text}");
         std::process::exit(0);
@@ -316,7 +340,7 @@ fn main() {
         return;
     }
     let scale = opts.scale;
-    let jobs = opts.jobs.unwrap_or_else(Jobs::from_env);
+    let jobs = opts.jobs.or(opts.env_jobs).unwrap_or_else(Jobs::available);
     let engine = opts.engine;
     let mut supervision = Supervision::default_robust();
     if let Some(r) = opts.cell_retries {

@@ -15,9 +15,9 @@
 //! the *same* keys, so one `figures` invocation emulates each key
 //! exactly once, and Figure 9 replays pooled/persisted traces where its
 //! keys overlap, streaming one capture through both of a cell's timing
-//! consumers with bounded memory where they don't. The fused and
-//! reference engines remain selectable for differential debugging
-//! (`figures --engine`); all three produce byte-identical rows.
+//! consumers with bounded memory where they don't. The reference
+//! engine remains selectable for differential debugging
+//! (`figures --engine`); both produce byte-identical rows.
 
 use probranch_core::PbsConfig;
 use probranch_faults as faults;
@@ -401,16 +401,6 @@ fn cell_config(cell: &Cell, core: OooConfig) -> SimConfig {
     cfg
 }
 
-/// Builds the cell's workload (at its derived seed) and simulates it
-/// under the cell's predictor/PBS configuration with the fused engine.
-fn sim_cell(cell: &Cell, scale: ExperimentScale, core: OooConfig) -> SimReport {
-    let bench = cell.workload.build(scale.workload(), cell.workload_seed());
-    let cfg = cell_config(cell, core);
-    Simulation::new(Engine::Fused)
-        .run(&bench.program(), &cfg)
-        .unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
-}
-
 /// The cell's trace, through the run-wide pool: the first cell of an
 /// emulation key captures (or disk-loads) the [`DynTrace`], every later
 /// cell — possibly on another worker thread, possibly in a *different
@@ -437,9 +427,9 @@ fn cell_trace(
         .unwrap_or_else(|e| panic!("{:?}: {e}", cell.workload))
 }
 
-/// [`sim_cell`] behind an engine choice. Under [`Engine::Replay`] the
-/// cell replays the pooled trace of its emulation key (see
-/// [`cell_trace`]).
+/// Simulates one timing cell under `engine`. Under [`Engine::Replay`]
+/// the cell replays the pooled trace of its emulation key (see
+/// [`cell_trace`]); [`Engine::Reference`] re-simulates it from scratch.
 fn sim_cell_engine(
     cell: &Cell,
     scale: ExperimentScale,
@@ -449,7 +439,6 @@ fn sim_cell_engine(
     attempt: u64,
 ) -> SimReport {
     match engine {
-        Engine::Fused => sim_cell(cell, scale, core),
         Engine::Reference => {
             let bench = cell.workload.build(scale.workload(), cell.workload_seed());
             let cfg = cell_config(cell, core);
@@ -468,18 +457,16 @@ fn sim_cell_engine(
 }
 
 /// The engine attempt `number` of a supervised cell actually runs: the
-/// requested engine twice, then the degradation cascade — fused, then
-/// reference — so a cell whose trace capture or replay keeps failing
-/// still retires. Engine equivalence (locked in by
-/// `tests/engine_equivalence.rs`) keeps degraded rows byte-identical
-/// to clean ones. Under `--strict-traces` the cascade is off: the
+/// requested engine twice, then the reference engine — so a cell whose
+/// trace capture or replay keeps failing still retires. Engine
+/// equivalence (locked in by `tests/engine_equivalence.rs`) keeps
+/// degraded rows byte-identical to clean ones. Under `--strict-traces` the cascade is off: the
 /// requested engine either succeeds or the cell's failure surfaces as
 /// a structured error.
 fn engine_for_attempt(requested: Engine, number: u32, strict: bool) -> Engine {
     match number {
         _ if strict => requested,
         0 | 1 => requested,
-        2 => Engine::Fused,
         _ => Engine::Reference,
     }
 }
@@ -526,12 +513,7 @@ pub struct Fig1Row {
 /// Figure 1: probabilistic branches are a small fraction of dynamic
 /// branches but a disproportionate fraction of mispredictions.
 pub fn fig1(scale: ExperimentScale, jobs: Jobs) -> Vec<Fig1Row> {
-    fig1_with(scale, jobs, Engine::default())
-}
-
-/// [`fig1`] under an explicit engine and a private trace pool.
-pub fn fig1_with(scale: ExperimentScale, jobs: Jobs, engine: Engine) -> Vec<Fig1Row> {
-    fig1_with_ctx(scale, jobs, engine, &Context::new())
+    fig1_with_ctx(scale, jobs, Engine::default(), &Context::new())
 }
 
 /// [`fig1`] under an explicit engine and the run-wide trace pool. The
@@ -722,12 +704,7 @@ fn four_config_reports(
 
 /// Figure 6: MPKI reduction through PBS for both predictors.
 pub fn fig6(scale: ExperimentScale, jobs: Jobs) -> Vec<Fig6Row> {
-    fig6_with(scale, jobs, Engine::default())
-}
-
-/// [`fig6`] under an explicit engine and a private trace pool.
-pub fn fig6_with(scale: ExperimentScale, jobs: Jobs, engine: Engine) -> Vec<Fig6Row> {
-    fig6_with_ctx(scale, jobs, engine, &Context::new())
+    fig6_with_ctx(scale, jobs, Engine::default(), &Context::new())
 }
 
 /// [`fig6`] under an explicit engine and the run-wide trace pool.
@@ -791,12 +768,7 @@ fn ipc_rows(
 
 /// Figure 7: normalized IPC on the 4-wide, 168-ROB core.
 pub fn fig7(scale: ExperimentScale, jobs: Jobs) -> Vec<IpcRow> {
-    fig7_with(scale, jobs, Engine::default())
-}
-
-/// [`fig7`] under an explicit engine and a private trace pool.
-pub fn fig7_with(scale: ExperimentScale, jobs: Jobs, engine: Engine) -> Vec<IpcRow> {
-    fig7_with_ctx(scale, jobs, engine, &Context::new())
+    fig7_with_ctx(scale, jobs, Engine::default(), &Context::new())
 }
 
 /// [`fig7`] under an explicit engine and the run-wide trace pool —
@@ -813,12 +785,7 @@ pub fn fig7_with_ctx(
 
 /// Figure 8: normalized IPC on the 8-wide, 256-ROB core.
 pub fn fig8(scale: ExperimentScale, jobs: Jobs) -> Vec<IpcRow> {
-    fig8_with(scale, jobs, Engine::default())
-}
-
-/// [`fig8`] under an explicit engine and a private trace pool.
-pub fn fig8_with(scale: ExperimentScale, jobs: Jobs, engine: Engine) -> Vec<IpcRow> {
-    fig8_with_ctx(scale, jobs, engine, &Context::new())
+    fig8_with_ctx(scale, jobs, Engine::default(), &Context::new())
 }
 
 /// [`fig8`] under an explicit engine and the run-wide trace pool. The
@@ -852,12 +819,7 @@ pub struct Fig9Row {
 /// regular-branch MPKI when probabilistic branches access the predictor
 /// versus when they are filtered out.
 pub fn fig9(scale: ExperimentScale, jobs: Jobs) -> Vec<Fig9Row> {
-    fig9_with(scale, jobs, Engine::default())
-}
-
-/// [`fig9`] under an explicit engine and a private trace pool.
-pub fn fig9_with(scale: ExperimentScale, jobs: Jobs, engine: Engine) -> Vec<Fig9Row> {
-    fig9_with_ctx(scale, jobs, engine, &Context::new())
+    fig9_with_ctx(scale, jobs, Engine::default(), &Context::new())
 }
 
 /// [`fig9`] under an explicit engine and the run-wide trace pool. The
@@ -955,7 +917,7 @@ pub fn fig9_with_ctx(
                     reports.next().expect("filtered report"),
                 )
             }
-            Engine::Fused | Engine::Reference => {
+            Engine::Reference => {
                 let b = cell.workload.build(scale.workload(), cell.workload_seed());
                 let sim = Simulation::new(engine);
                 let unfiltered = sim.run(&b.program(), &cfg).expect("sim");

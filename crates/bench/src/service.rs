@@ -118,16 +118,21 @@ mod tests {
     fn unknown_engine_is_a_bad_request_not_a_panic() {
         let ctx = experiments::Context::new();
         let handler = sweep_handler(&ctx, Jobs::serial());
-        let outcome = handler(&SweepRequest {
-            section: "fig6".into(),
-            scale: "smoke".into(),
-            engine: "convoy".into(),
-            jobs: None,
-            deadline_ms: None,
-        });
-        match outcome {
-            SweepOutcome::BadRequest(msg) => assert!(msg.contains("unknown engine"), "{msg}"),
-            other => panic!("expected BadRequest, got {other:?}"),
+        for engine in ["convoy", "fused"] {
+            let outcome = handler(&SweepRequest {
+                section: "fig6".into(),
+                scale: "smoke".into(),
+                engine: engine.into(),
+                jobs: None,
+                deadline_ms: None,
+            });
+            match outcome {
+                SweepOutcome::BadRequest(msg) => {
+                    assert!(msg.contains("unknown engine"), "{msg}");
+                    assert!(msg.contains(engine), "{msg}");
+                }
+                other => panic!("expected BadRequest for {engine}, got {other:?}"),
+            }
         }
         assert_eq!(ctx.captures(), 0, "a rejected request must not sweep");
     }

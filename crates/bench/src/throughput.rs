@@ -1,17 +1,17 @@
 //! The `sim-throughput` benchmark: simulator speed (MIPS — millions of
 //! simulated instructions per wall-clock second) per
-//! workload × predictor × PBS cell, for the fused engine, the unfused
-//! reference engine, the shared-trace **replay** engine and the
-//! **streamed pair** run (the `convoy_*` fields).
+//! workload × predictor × PBS cell, for the reference engine, the
+//! shared-trace **replay** engine and the **streamed pair** run (the
+//! `convoy_*` fields).
 //!
 //! This is the perf trajectory of the project: `figures
 //! --emit-bench-json BENCH_throughput.json` serializes a report whose
 //! committed copy at the repo root is the baseline CI's
 //! `check_throughput` gate compares fresh measurements against.
 //!
-//! Per cell the report carries five engine measurements:
+//! Per cell the report carries four engine measurements:
 //!
-//! * `fused` / `reference` — one full simulation each, as before;
+//! * `reference` — one full simulation through the reference oracle;
 //! * `replay` — the cell re-timed from a **materialized** trace
 //!   (`Simulation` under `EngineKind::Replay`), the way the figure
 //!   sweeps consume pooled traces; the one capture per emulation key is
@@ -38,8 +38,8 @@
 //!
 //! Measurements are wall-clock and therefore machine-dependent; the
 //! *results* of every timed run are still checked for engine agreement
-//! (each cell asserts the fused, reference, replay and streamed reports
-//! are identical), so a throughput run doubles as an equivalence sweep.
+//! (each cell asserts the reference, replay and streamed reports are
+//! identical), so a throughput run doubles as an equivalence sweep.
 
 use std::time::{Duration, Instant};
 
@@ -52,35 +52,13 @@ use probranch_workloads::BenchmarkId;
 use crate::experiments::{self, Engine, ExperimentScale};
 
 /// Schema tag written into the JSON (bump on layout changes so the CI
-/// gate skips rather than misparses). `check_throughput` accepts the
-/// older `/1` (fused/reference only), `/2` (adds replay), `/3` (adds
-/// convoy), `/4` (adds the batched drain), `/5` (adds store
-/// accounting), `/6` (adds robustness accounting) and `/7` (adds
-/// service accounting) baselines without failing; fields both reports
-/// carry are gated — from `/8` on that includes the per-key capture
-/// cells (`capture_mips`, tagged with the capture tier that ran).
-pub const SCHEMA: &str = "probranch-throughput/8";
-
-/// The v1 schema tag, still accepted as a comparison baseline.
-pub const SCHEMA_V1: &str = "probranch-throughput/1";
-
-/// The v2 schema tag, still accepted as a comparison baseline.
-pub const SCHEMA_V2: &str = "probranch-throughput/2";
-
-/// The v3 schema tag, still accepted as a comparison baseline.
-pub const SCHEMA_V3: &str = "probranch-throughput/3";
-
-/// The v4 schema tag, still accepted as a comparison baseline.
-pub const SCHEMA_V4: &str = "probranch-throughput/4";
-
-/// The v5 schema tag, still accepted as a comparison baseline.
-pub const SCHEMA_V5: &str = "probranch-throughput/5";
-
-/// The v6 schema tag, still accepted as a comparison baseline.
-pub const SCHEMA_V6: &str = "probranch-throughput/6";
-
-/// The v7 schema tag, still accepted as a comparison baseline.
-pub const SCHEMA_V7: &str = "probranch-throughput/7";
+/// gate skips rather than misparses). `/9` drops the fused-engine cell
+/// fields and the fused-relative aggregates of `/8`; `check_throughput`
+/// accepts either as a baseline and gates the fields both reports
+/// carry: the per-cell `replay`/`batched`/`convoy` MIPS and the per-key
+/// capture cells (`capture_mips`, tagged with the capture tier that
+/// ran).
+pub const SCHEMA: &str = "probranch-throughput/9";
 
 /// One measured grid point.
 #[derive(Debug, Clone)]
@@ -93,9 +71,7 @@ pub struct ThroughputCell {
     pub pbs: bool,
     /// Simulated (committed) instructions.
     pub instructions: u64,
-    /// Wall time of the fused engine.
-    pub fused: Duration,
-    /// Wall time of the unfused reference engine.
+    /// Wall time of the reference engine.
     pub reference: Duration,
     /// Wall time of this cell's replay over the key's materialized
     /// trace (capture excluded — that is accounted once per key in
@@ -115,11 +91,6 @@ pub struct ThroughputCell {
 }
 
 impl ThroughputCell {
-    /// Millions of simulated instructions per second, fused engine.
-    pub fn fused_mips(&self) -> f64 {
-        mips(self.instructions, self.fused)
-    }
-
     /// Millions of simulated instructions per second, reference engine.
     pub fn reference_mips(&self) -> f64 {
         mips(self.instructions, self.reference)
@@ -262,22 +233,15 @@ pub struct ThroughputReport {
 }
 
 impl ThroughputReport {
-    /// Total simulated instructions across cells (all four engines
-    /// simulate identical streams by the per-cell equivalence
+    /// Total simulated instructions across cells (every measured run
+    /// simulates the identical stream by the per-cell equivalence
     /// assertion).
     pub fn total_instructions(&self) -> u64 {
         self.cells.iter().map(|c| c.instructions).sum()
     }
 
-    /// Aggregate fused MIPS (total instructions over total wall time).
-    pub fn fused_mips(&self) -> f64 {
-        mips(
-            self.total_instructions(),
-            self.cells.iter().map(|c| c.fused).sum(),
-        )
-    }
-
-    /// Aggregate reference MIPS.
+    /// Aggregate reference MIPS (total instructions over total wall
+    /// time).
     pub fn reference_mips(&self) -> f64 {
         mips(
             self.total_instructions(),
@@ -320,26 +284,6 @@ impl ThroughputReport {
         )
     }
 
-    /// Aggregate fused-over-reference speedup.
-    pub fn speedup(&self) -> f64 {
-        let r = self.reference_mips();
-        if r <= 0.0 {
-            0.0
-        } else {
-            self.fused_mips() / r
-        }
-    }
-
-    /// Aggregate replay-over-fused speedup (capture included).
-    pub fn replay_speedup(&self) -> f64 {
-        let f = self.fused_mips();
-        if f <= 0.0 {
-            0.0
-        } else {
-            self.replay_mips() / f
-        }
-    }
-
     /// Serializes the report as JSON, one cell object per line (the
     /// line-oriented layout `check_throughput` parses without a JSON
     /// dependency).
@@ -352,13 +296,11 @@ impl ThroughputReport {
         for (i, c) in self.cells.iter().enumerate() {
             let comma = if i + 1 < self.cells.len() { "," } else { "" };
             out.push_str(&format!(
-                "    {{\"workload\":\"{}\",\"predictor\":\"{}\",\"pbs\":{},\"instructions\":{},\"fused_seconds\":{:.6},\"fused_mips\":{:.3},\"reference_seconds\":{:.6},\"reference_mips\":{:.3},\"replay_seconds\":{:.6},\"replay_mips\":{:.3},\"batched_seconds\":{:.6},\"batched_mips\":{:.3},\"convoy_seconds\":{:.6},\"convoy_mips\":{:.3},\"trace_peak_bytes\":{},\"trace_chunks\":{}}}{comma}\n",
+                "    {{\"workload\":\"{}\",\"predictor\":\"{}\",\"pbs\":{},\"instructions\":{},\"reference_seconds\":{:.6},\"reference_mips\":{:.3},\"replay_seconds\":{:.6},\"replay_mips\":{:.3},\"batched_seconds\":{:.6},\"batched_mips\":{:.3},\"convoy_seconds\":{:.6},\"convoy_mips\":{:.3},\"trace_peak_bytes\":{},\"trace_chunks\":{}}}{comma}\n",
                 c.workload,
                 c.predictor,
                 c.pbs,
                 c.instructions,
-                c.fused.as_secs_f64(),
-                c.fused_mips(),
                 c.reference.as_secs_f64(),
                 c.reference_mips(),
                 c.replay.as_secs_f64(),
@@ -410,14 +352,11 @@ impl ThroughputReport {
             s.service_cancelled,
         ));
         out.push_str(&format!(
-            "  \"aggregate\": {{\"instructions\":{},\"fused_mips\":{:.3},\"reference_mips\":{:.3},\"speedup\":{:.3},\"capture_seconds\":{:.6},\"replay_mips\":{:.3},\"replay_speedup\":{:.3},\"batched_mips\":{:.3},\"convoy_mips\":{:.3}}}\n",
+            "  \"aggregate\": {{\"instructions\":{},\"reference_mips\":{:.3},\"capture_seconds\":{:.6},\"replay_mips\":{:.3},\"batched_mips\":{:.3},\"convoy_mips\":{:.3}}}\n",
             self.total_instructions(),
-            self.fused_mips(),
             self.reference_mips(),
-            self.speedup(),
             self.capture_seconds().as_secs_f64(),
             self.replay_mips(),
-            self.replay_speedup(),
             self.batched_mips(),
             self.convoy_mips(),
         ));
@@ -436,12 +375,11 @@ impl ThroughputReport {
         ));
         for c in &self.cells {
             out.push_str(&format!(
-                "  {:<10} {:<15} pbs={:<5} {:>10} insts  fused {:>8.2}  reference {:>8.2}  replay {:>8.2}  batched {:>8.2}  convoy {:>8.2} MIPS  ({} chunks, trace {} KiB)\n",
+                "  {:<10} {:<15} pbs={:<5} {:>10} insts  reference {:>8.2}  replay {:>8.2}  batched {:>8.2}  convoy {:>8.2} MIPS  ({} chunks, trace {} KiB)\n",
                 c.workload,
                 c.predictor,
                 c.pbs,
                 c.instructions,
-                c.fused_mips(),
                 c.reference_mips(),
                 c.replay_mips(),
                 c.batched_mips(),
@@ -451,13 +389,10 @@ impl ThroughputReport {
             ));
         }
         out.push_str(&format!(
-            "aggregate: fused {:.2} MIPS vs reference {:.2} MIPS ({:.2}x); replay {:.2} MIPS incl. {:.3}s capture ({:.2}x over fused); batched drain {:.2} MIPS; convoy {:.2} MIPS\n",
-            self.fused_mips(),
+            "aggregate: reference {:.2} MIPS; replay {:.2} MIPS incl. {:.3}s capture; batched drain {:.2} MIPS; convoy {:.2} MIPS\n",
             self.reference_mips(),
-            self.speedup(),
             self.replay_mips(),
             self.capture_seconds().as_secs_f64(),
-            self.replay_speedup(),
             self.batched_mips(),
             self.convoy_mips(),
         ));
@@ -653,13 +588,13 @@ fn run_sweep(scale: ExperimentScale, per_cell_instructions: u64) -> SweepStats {
     }
 }
 
-/// Measures the fig6 grid at `scale`: per cell, wall time of one fused
-/// and one reference full-timing simulation of the same workload
-/// instance, a per-key timed capture with per-cell timed replays, and a
-/// per-key streamed pair run — asserting that all four return
-/// identical reports — plus the shared-pool fig6+fig7 sweep.
+/// Measures the fig6 grid at `scale`: per cell, wall time of one
+/// reference full-timing simulation, a per-key timed capture with
+/// per-cell timed replays, and a per-key streamed pair run — asserting
+/// that all three return identical reports — plus the shared-pool
+/// fig6+fig7 sweep.
 ///
-/// Fused/reference cells run through [`run_cells_timed`]; pass
+/// Reference cells run through [`run_cells_timed`]; pass
 /// [`Jobs::serial`] (the `figures --emit-bench-json` default) for
 /// uncontended numbers. The replay/streamed measurements and the sweep
 /// run serially regardless.
@@ -670,10 +605,7 @@ fn run_sweep(scale: ExperimentScale, per_cell_instructions: u64) -> SweepStats {
 /// correctness bug this benchmark refuses to time.
 pub fn measure(scale: ExperimentScale, jobs: Jobs) -> ThroughputReport {
     let cells = grid();
-    // Fused timings first (one pass), then reference timings, so neither
-    // engine systematically runs on a warmer allocator.
-    let fused = run_cells_timed(&cells, jobs, |cell| run_engine(cell, scale, false));
-    let reference = run_cells_timed(&cells, jobs, |cell| run_engine(cell, scale, true));
+    let reference = run_cells_timed(&cells, jobs, |cell| run_reference(cell, scale));
     // Replay + streamed pass: one measurement per emulation key.
     let mut captures = Vec::new();
     let mut replay_cells = Vec::new();
@@ -706,29 +638,26 @@ pub fn measure(scale: ExperimentScale, jobs: Jobs) -> ThroughputReport {
             ));
         }
     }
-    // Merge: fused/reference are in grid order; replay cells are in
+    // Merge: reference cells are in grid order; replay cells are in
     // key-major order. Match by cell identity.
     let cell_rows: Vec<ThroughputCell> = cells
         .iter()
-        .zip(fused)
         .zip(reference)
-        .map(|((cell, ((name, fr), ft)), ((_, rr), rt))| {
-            assert_eq!(fr, rr, "fused and reference engines disagree on {cell:?}");
+        .map(|(cell, ((name, rr), rt))| {
             let (_, replay_report, replay_dur, batched_dur, convoy_share, trace_bytes, chunks) =
                 replay_cells
                     .iter()
                     .find(|(c, ..)| c == cell)
                     .unwrap_or_else(|| panic!("replay sweep missing cell {cell:?}"));
             assert_eq!(
-                &fr, replay_report,
-                "fused and replay engines disagree on {cell:?}"
+                &rr, replay_report,
+                "reference and replay engines disagree on {cell:?}"
             );
             ThroughputCell {
                 workload: name,
                 predictor: cell.predictor.name(),
                 pbs: cell.pbs,
-                instructions: fr.timing.instructions,
-                fused: ft,
+                instructions: rr.timing.instructions,
                 reference: rt,
                 replay: *replay_dur,
                 batched: *batched_dur,
@@ -753,7 +682,7 @@ pub fn measure(scale: ExperimentScale, jobs: Jobs) -> ThroughputReport {
     }
 }
 
-fn run_engine(cell: &Cell, scale: ExperimentScale, reference: bool) -> (&'static str, SimReport) {
+fn run_reference(cell: &Cell, scale: ExperimentScale) -> (&'static str, SimReport) {
     let bench = cell
         .workload
         .build(scale.workload(), workload_seed(cell.workload, cell.seed));
@@ -764,14 +693,8 @@ fn run_engine(cell: &Cell, scale: ExperimentScale, reference: bool) -> (&'static
     if cell.pbs {
         cfg.pbs = Some(probranch_core::PbsConfig::default());
     }
-    let program = bench.program();
-    let engine = if reference {
-        Engine::Reference
-    } else {
-        Engine::Fused
-    };
-    let report = Simulation::new(engine)
-        .run(&program, &cfg)
+    let report = Simulation::new(Engine::Reference)
+        .run(&bench.program(), &cfg)
         .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
     (bench.name(), report)
 }
@@ -816,7 +739,7 @@ mod tests {
         // the schema so `figures --serve` reports land in the same gate.
         assert_eq!(report.sweep.service_requests, 0);
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"probranch-throughput/8\""));
+        assert!(json.contains("\"schema\": \"probranch-throughput/9\""));
         // Every capture cell carries its tier tag; the paper kernels
         // all capture block-compiled at smoke scale (no interp cells).
         assert_eq!(
@@ -831,7 +754,8 @@ mod tests {
         assert!(json.contains("\"service_shed\""));
         assert!(json.contains("\"service_cancelled\""));
         assert!(json.contains("\"scale\": \"smoke\""));
-        assert!(json.contains("\"fused_mips\""));
+        assert!(!json.contains("fused"), "v9 carries no fused-engine fields");
+        assert!(json.contains("\"reference_mips\""));
         assert!(json.contains("\"replay_mips\""));
         assert!(json.contains("\"batched_mips\""));
         assert!(json.contains("\"convoy_mips\""));

@@ -83,8 +83,8 @@ impl Supervision {
     }
 
     /// The default robustness envelope: up to 4 attempts per cell (the
-    /// degradation cascade's length: requested engine twice, then
-    /// fused, then reference), no deadline.
+    /// requested engine twice, then the reference engine twice), no
+    /// deadline.
     pub fn default_robust() -> Supervision {
         Supervision {
             retries: 3,

@@ -1,9 +1,9 @@
 //! The block-compiled capture engine: trace capture above interpreter
 //! speed.
 //!
-//! Capture cost used to be one [`Emulator::step_decoded`] call — fetch,
-//! dispatch, record construction, per-record cache bookkeeping — per
-//! dynamic instruction. This module compiles the predecoded program
+//! The interpreter tier pays one [`Emulator::step_decoded`] call —
+//! fetch, dispatch, record construction, per-record cache bookkeeping —
+//! per dynamic instruction. This module compiles the predecoded program
 //! into **basic blocks** once per emulation key and executes each block
 //! as a specialized straight-line step function:
 //!
@@ -17,11 +17,14 @@
 //!   istalls (see the warmth rule below), zero branch bytes, and dlats
 //!   patched in from the loads the body actually executed;
 //! * the terminator (branch/call/ret/`PROB_JMP`) executes inline
-//!   through the emulator's shared condition, stack and resolution
-//!   datapaths, while `halt` and every *rare* op (`out`) fall back to
-//!   `step_decoded`, so branch events, PBS observation, call-stack
-//!   faults and probabilistic resolution cannot drift from the
-//!   interpreter.
+//!   through the emulator's condition, stack and resolution datapaths
+//!   (`cmp_*`, `commit_term_*`), while `halt` and every *rare* op
+//!   (`out`) fall back to `step_decoded`.
+//!
+//! Body ops and terminators run through the very functions
+//! `step_decoded` dispatches to (`exec_straight_op`, `commit_term_*`),
+//! so branch events, PBS observation, call-stack faults and
+//! probabilistic resolution have one implementation on both tiers.
 //!
 //! # Warmth rule (byte-identity of the fast path)
 //!
@@ -43,7 +46,7 @@
 //! block, so `InstLimitExceeded` trips at exactly the same dynamic
 //! instruction as the interpreter. Long block runs poll the
 //! cancellation token every [`CANCEL_STRIDE`](crate::cancel::CANCEL_STRIDE)
-//! instructions, same as the fused engine.
+//! instructions.
 //!
 //! # When blocks run
 //!
@@ -75,8 +78,8 @@ use crate::trace::{
 /// observation and one packed branch record — skipping the
 /// interpreter's fetch/dispatch/record round trip, which dominates
 /// capture time on branchy kernels whose blocks are only a few ops
-/// long. Terminators with side effects beyond that (probabilistic
-/// resolution, halt) stay on [`Emulator::step_decoded`].
+/// long. `PROB_JMP` resolves inline too; only `halt` stays on
+/// [`Emulator::step_decoded`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Term {
     /// `jf target` — conditional on the flag register.
@@ -176,7 +179,7 @@ pub(crate) struct BlockProgram {
     index: Vec<u32>,
 }
 
-/// Control ops terminate a block and execute via `step_decoded` (branch
+/// Control ops terminate a block and execute as its [`Term`] (branch
 /// events, PBS observation, call-stack faults, prob resolution, halt).
 fn is_control(op: &DecOp) -> bool {
     matches!(
@@ -526,10 +529,9 @@ impl TraceStream {
         // interpreter tier (blocks never straddle the budget: the
         // dispatch below falls back to single steps for the tail).
         let budget = (self.max_insts - self.executed).clamp(1, TRACE_CHUNK_RECORDS as u64);
-        // The fused engine's 64 Ki-instruction cancellation stride,
-        // threaded through block execution so `--cell-deadline-ms`
-        // cancels long captures promptly even if chunks ever outgrow
-        // the stride.
+        // The 64 Ki-instruction cancellation stride, threaded through
+        // block execution so `--cell-deadline-ms` cancels long captures
+        // promptly even if chunks ever outgrow the stride.
         let mut next_poll = CANCEL_STRIDE;
         let TraceStream {
             emu,

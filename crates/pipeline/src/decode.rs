@@ -1,5 +1,5 @@
 //! Predecode: lowers a validated [`Program`] once into a dense array of
-//! [`DecodedInst`]s so the hot emulate→time loop stops re-deriving
+//! [`DecodedInst`]s so the hot capture loop stops re-deriving
 //! per-instruction facts on every *dynamic* instruction.
 //!
 //! The original engine pays three recurring costs per executed
@@ -231,7 +231,7 @@ impl InstTiming {
 }
 
 /// One predecoded instruction: the execution micro-op plus its timing
-/// metadata, kept adjacent for cache locality in the fused loop.
+/// metadata, lowered together in one pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecodedInst {
     /// The execution form.

@@ -17,15 +17,15 @@
 //! * [`Cache`], [`MemoryHierarchy`] — set-associative LRU caches;
 //! * [`OooTimingModel`] — fetch/dispatch/issue/complete/commit cycle
 //!   accounting with ROB back-pressure and misprediction redirects;
-//! * [`DecodedProgram`] — the one-time predecode pass feeding the fused
-//!   engine (see `decode`);
+//! * [`DecodedProgram`] — the one-time predecode pass feeding the
+//!   decoded interpreter and trace capture (see `decode`);
 //! * [`Simulation`] / [`run_functional`] — one-call experiment drivers
 //!   returning [`SimReport`]s with IPC, MPKI, PBS counters, program
 //!   outputs and the consumed probabilistic-value stream.
-//!   [`Simulation`] is keyed by [`EngineKind`]: the fused/predecoded
-//!   live engine, the original unfused reference loop (the
-//!   differential baseline producing identical reports), and the
-//!   default trace engine below;
+//!   [`Simulation`] is keyed by [`EngineKind`]: the default trace
+//!   engine below, and the [`Inst`](probranch_isa::Inst)-level
+//!   reference oracle (an independent datapath producing identical
+//!   reports);
 //! * [`DynTrace`] + [`EngineKind::Replay`] — emulate once, time many:
 //!   the dynamic record stream (plus pre-simulated cache latencies) is
 //!   captured once per emulation key `(workload, PBS config, emulator
@@ -35,13 +35,13 @@
 //!   every cell, or replayed from a materialized trace, each chunk's
 //!   branches batch-predicted through
 //!   [`probranch_predictor::BranchPredictor::predict_update_batch`]
-//!   ahead of the timing walk — byte-identically to the fused engine
+//!   ahead of the timing walk — byte-identically to the reference engine
 //!   (see `trace`), with optional on-disk persistence keyed by content
 //!   hash (see `persist`).
 //!
 //! ```
 //! use probranch_isa::{ProgramBuilder, Reg, CmpOp};
-//! use probranch_pipeline::{EngineKind, SimConfig, Simulation};
+//! use probranch_pipeline::{SimConfig, Simulation};
 //!
 //! let mut b = ProgramBuilder::new();
 //! let top = b.label("top");
@@ -50,7 +50,7 @@
 //! b.add(Reg::R1, Reg::R1, 1)
 //!  .br(CmpOp::Lt, Reg::R1, 100, top)
 //!  .halt();
-//! let report = Simulation::new(EngineKind::Fused).run(&b.build()?, &SimConfig::default())?;
+//! let report = Simulation::default().run(&b.build()?, &SimConfig::default())?;
 //! assert_eq!(report.timing.instructions, 202);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

@@ -133,10 +133,11 @@ pub struct DynInst {
     pub mem_addr: Option<u64>,
 }
 
-/// One element of the compact dynamic stream produced by the fused
-/// engine ([`Emulator::step_block`]): just the facts the timing model
-/// needs, with the static instruction looked up by `pc` in the shared
-/// [`DecodedProgram`] instead of being copied per dynamic instruction.
+/// One element of the compact dynamic stream produced by the decoded
+/// interpreter ([`Emulator::step_decoded`]): just the facts trace
+/// capture needs, with the static instruction looked up by `pc` in the
+/// shared [`DecodedProgram`] instead of being copied per dynamic
+/// instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepRecord {
     /// PC of the instruction.
@@ -367,7 +368,7 @@ impl Emulator {
     }
 
     /// The predecoded form of the program (lowered once at
-    /// construction), shared with the timing model by the fused engine.
+    /// construction).
     pub fn decoded(&self) -> &DecodedProgram {
         &self.decoded
     }
@@ -725,7 +726,11 @@ impl Emulator {
     /// Architecturally identical to [`Emulator::step`] — the golden-trace
     /// and engine-equivalence suites lock the two interpreters together —
     /// but monomorphic over [`DecOp`]: no nested operand dispatch and no
-    /// per-instruction [`Inst`] copy into a [`DynInst`].
+    /// per-instruction [`Inst`] copy into a [`DynInst`]. It shares one
+    /// datapath with the block-compiled capture engine: straight-line ops
+    /// run through `exec_straight_op` and control ops through the
+    /// `cmp_*`/`commit_term_*` terminators, so only `out`, `halt` and
+    /// the store's record address live here.
     ///
     /// # Errors
     ///
@@ -738,93 +743,19 @@ impl Emulator {
         }
         let pc = self.pc;
         let op = self.decoded.fetch(pc).op;
-        let mut next_pc = pc + 1;
-        let mut branch = None;
         let mut mem_addr = StepRecord::NO_ADDR;
-
-        match op {
-            DecOp::AluRR {
-                op,
-                dst,
-                src1,
-                src2,
-            } => {
-                let a = self.regs[src1.index()];
-                let b = self.regs[src2.index()];
-                self.regs[dst.index()] = alu_eval(op, a, b);
-            }
-            DecOp::AluRI { op, dst, src1, imm } => {
-                let a = self.regs[src1.index()];
-                self.regs[dst.index()] = alu_eval(op, a, imm);
-            }
-            DecOp::Li { dst, imm } => self.regs[dst.index()] = imm,
-            DecOp::Mov { dst, src } => self.regs[dst.index()] = self.regs[src.index()],
-            DecOp::FpBin {
-                op,
-                dst,
-                src1,
-                src2,
-            } => {
-                let a = f64::from_bits(self.regs[src1.index()]);
-                let b = f64::from_bits(self.regs[src2.index()]);
-                self.regs[dst.index()] = fp_bin_eval(op, a, b).to_bits();
-            }
-            DecOp::FpUn { op, dst, src } => {
-                let a = f64::from_bits(self.regs[src.index()]);
-                self.regs[dst.index()] = fp_un_eval(op, a).to_bits();
-            }
-            DecOp::IntToFp { dst, src } => {
-                self.regs[dst.index()] = (self.regs[src.index()] as i64 as f64).to_bits();
-            }
-            DecOp::FpToInt { dst, src } => {
-                let v = f64::from_bits(self.regs[src.index()]);
-                self.regs[dst.index()] = (v as i64) as u64;
-            }
-            DecOp::CMov {
-                dst,
-                cond,
-                if_true,
-                if_false,
-            } => {
-                self.regs[dst.index()] = if self.regs[cond.index()] != 0 {
-                    self.regs[if_true.index()]
-                } else {
-                    self.regs[if_false.index()]
-                };
-            }
-            DecOp::Load { dst, base, offset } => {
-                let idx = self
-                    .mem_index(base, offset, pc)
-                    .inspect_err(|_| self.halted = true)?;
-                mem_addr = idx as u64 * 8;
-                self.regs[dst.index()] = self.memory[idx];
-            }
-            DecOp::Store { src, base, offset } => {
-                let idx = self
-                    .mem_index(base, offset, pc)
-                    .inspect_err(|_| self.halted = true)?;
-                mem_addr = idx as u64 * 8;
-                self.memory[idx] = self.regs[src.index()];
-            }
-            DecOp::CmpRR { op, fp, lhs, rhs } => {
-                self.flag = self.eval_cmp(op, fp, self.regs[lhs.index()], self.regs[rhs.index()]);
-            }
-            DecOp::CmpRI { op, fp, lhs, imm } => {
-                self.flag = self.eval_cmp(op, fp, self.regs[lhs.index()], imm);
-            }
+        let direct = |taken: bool, kind: BranchEventKind| {
+            Some(BranchEvent {
+                taken,
+                kind,
+                is_prob: false,
+            })
+        };
+        let branch = match op {
             DecOp::Jf { target } => {
                 let taken = self.flag;
-                if taken {
-                    next_pc = target;
-                }
-                branch = Some(BranchEvent {
-                    taken,
-                    kind: BranchEventKind::Conditional,
-                    is_prob: false,
-                });
-                if let Some(pbs) = self.pbs.as_mut() {
-                    pbs.observe_branch(pc, target, taken);
-                }
+                self.commit_term_branch(pc, target, taken);
+                direct(taken, BranchEventKind::Conditional)
             }
             DecOp::BrRR {
                 op,
@@ -833,18 +764,9 @@ impl Emulator {
                 rhs,
                 target,
             } => {
-                let taken = self.eval_cmp(op, fp, self.regs[lhs.index()], self.regs[rhs.index()]);
-                if taken {
-                    next_pc = target;
-                }
-                branch = Some(BranchEvent {
-                    taken,
-                    kind: BranchEventKind::Conditional,
-                    is_prob: false,
-                });
-                if let Some(pbs) = self.pbs.as_mut() {
-                    pbs.observe_branch(pc, target, taken);
-                }
+                let taken = self.cmp_rr(op, fp, lhs, rhs);
+                self.commit_term_branch(pc, target, taken);
+                direct(taken, BranchEventKind::Conditional)
             }
             DecOp::BrRI {
                 op,
@@ -853,124 +775,53 @@ impl Emulator {
                 imm,
                 target,
             } => {
-                let taken = self.eval_cmp(op, fp, self.regs[lhs.index()], imm);
-                if taken {
-                    next_pc = target;
-                }
-                branch = Some(BranchEvent {
-                    taken,
-                    kind: BranchEventKind::Conditional,
-                    is_prob: false,
-                });
-                if let Some(pbs) = self.pbs.as_mut() {
-                    pbs.observe_branch(pc, target, taken);
-                }
+                let taken = self.cmp_ri(op, fp, lhs, imm);
+                self.commit_term_branch(pc, target, taken);
+                direct(taken, BranchEventKind::Conditional)
             }
             DecOp::Jmp { target } => {
-                next_pc = target;
-                branch = Some(BranchEvent {
-                    taken: true,
-                    kind: BranchEventKind::Unconditional,
-                    is_prob: false,
-                });
-                if let Some(pbs) = self.pbs.as_mut() {
-                    pbs.observe_branch(pc, target, true);
-                }
+                self.commit_term_branch(pc, target, true);
+                direct(true, BranchEventKind::Unconditional)
             }
             DecOp::Call { target } => {
-                if self.call_stack.len() >= self.config.max_call_depth {
-                    self.halted = true;
-                    return Err(EmuError::CallStackOverflow { pc });
-                }
-                self.call_stack.push(pc + 1);
-                next_pc = target;
-                branch = Some(BranchEvent {
-                    taken: true,
-                    kind: BranchEventKind::Call,
-                    is_prob: false,
-                });
-                if let Some(pbs) = self.pbs.as_mut() {
-                    pbs.observe_call(pc);
-                }
+                self.commit_term_call(pc, target)?;
+                direct(true, BranchEventKind::Call)
             }
             DecOp::Ret => {
-                match self.call_stack.pop() {
-                    Some(ra) => next_pc = ra,
-                    None => {
-                        self.halted = true;
-                        return Err(EmuError::CallStackUnderflow { pc });
-                    }
-                }
-                branch = Some(BranchEvent {
-                    taken: true,
-                    kind: BranchEventKind::Ret,
-                    is_prob: false,
-                });
-                if let Some(pbs) = self.pbs.as_mut() {
-                    pbs.observe_ret();
-                }
+                self.commit_term_ret(pc)?;
+                direct(true, BranchEventKind::Ret)
             }
-            DecOp::ProbCmpRR { op, fp, prob, rhs } => {
-                let value = self.regs[prob.index()];
-                let const_val = self.regs[rhs.index()];
-                let outcome = self.eval_cmp(op, fp, value, const_val);
-                self.flag = outcome;
-                if self.pbs.is_some() {
-                    self.pending_prob.values.clear();
-                    self.pending_prob.values.push((prob, value));
-                    self.pending_prob.const_val = const_val;
-                    self.pending_prob.outcome = outcome;
-                }
-            }
-            DecOp::ProbCmpRI { op, fp, prob, imm } => {
-                let value = self.regs[prob.index()];
-                let outcome = self.eval_cmp(op, fp, value, imm);
-                self.flag = outcome;
-                if self.pbs.is_some() {
-                    self.pending_prob.values.clear();
-                    self.pending_prob.values.push((prob, value));
-                    self.pending_prob.const_val = imm;
-                    self.pending_prob.outcome = outcome;
-                }
-            }
-            DecOp::ProbJmpPush { prob } => {
-                let v = self.regs[prob.index()];
-                if self.pbs.is_some() {
-                    self.pending_prob.values.push((prob, v));
-                }
-            }
-            DecOp::ProbJmpQuiet => {}
             DecOp::ProbJmp { prob, target } => {
-                if let Some(p) = prob {
-                    let v = self.regs[p.index()];
-                    if self.pbs.is_some() {
-                        self.pending_prob.values.push((p, v));
-                    }
-                }
-                let (taken, kind) = self.resolve_prob_jump(pc);
-                if taken {
-                    next_pc = target;
-                }
-                branch = Some(BranchEvent {
+                let (taken, kind) = self.commit_term_prob(prob, pc, target);
+                Some(BranchEvent {
                     taken,
                     kind,
                     is_prob: true,
-                });
-                if let Some(pbs) = self.pbs.as_mut() {
-                    pbs.observe_branch(pc, target, taken);
-                }
+                })
             }
             DecOp::Out { src, port } => {
                 self.outputs.push(port, self.regs[src.index()]);
+                self.commit_straight(pc + 1, 1);
+                None
             }
             DecOp::Halt => {
                 self.halted = true;
+                self.commit_straight(pc + 1, 1);
+                None
             }
-            DecOp::Nop => {}
-        }
-
-        self.pc = next_pc;
-        self.executed += 1;
+            op => {
+                if let Some(addr) = self.exec_straight_op(op, pc)? {
+                    mem_addr = addr;
+                }
+                // Stores report their (already bounds-checked) address
+                // in the record; only loads reach data pre-simulation.
+                if let DecOp::Store { base, offset, .. } = op {
+                    mem_addr = self.regs[base.index()].wrapping_add(offset as u64);
+                }
+                self.commit_straight(pc + 1, 1);
+                None
+            }
+        };
         Ok(Some(StepRecord {
             pc,
             branch,
@@ -996,8 +847,7 @@ impl Emulator {
 
     /// The checked 64-bit load datapath of
     /// [`exec_straight_op`](Self::exec_straight_op). Faults halt the
-    /// machine and propagate exactly like `step_decoded`. Returns the
-    /// pre-simulation data address.
+    /// machine and propagate. Returns the pre-simulation data address.
     #[inline(always)]
     fn load_checked(&mut self, dst: Reg, base: Reg, offset: i64, pc: u32) -> Result<u64, EmuError> {
         let idx = self
@@ -1015,8 +865,7 @@ impl Emulator {
     }
 
     /// Evaluates a register-register compare against the architectural
-    /// state — the `BrRR` condition datapath, shared with
-    /// [`step_decoded`](Self::step_decoded)'s arm.
+    /// state — the `BrRR` condition datapath.
     #[inline(always)]
     pub(crate) fn cmp_rr(&self, op: CmpOp, fp: bool, lhs: Reg, rhs: Reg) -> bool {
         self.eval_cmp(op, fp, self.regs[lhs.index()], self.regs[rhs.index()])
@@ -1029,11 +878,9 @@ impl Emulator {
         self.eval_cmp(op, fp, self.regs[lhs.index()], imm)
     }
 
-    /// Commits an inline-executed direct branch terminator: the pc
-    /// redirect, the retired count and the PBS history observation —
-    /// exactly the state effects of the `step_decoded`
-    /// `Jf`/`BrRR`/`BrRI`/`Jmp` arms, minus the record construction the
-    /// block engine does itself.
+    /// Commits a direct branch (`jf`, `br`, `jmp`): the pc redirect,
+    /// the retired count and the PBS history observation. The caller
+    /// builds the record.
     #[inline(always)]
     pub(crate) fn commit_term_branch(&mut self, pc: u32, target: u32, taken: bool) {
         self.pc = if taken { target } else { pc + 1 };
@@ -1049,11 +896,9 @@ impl Emulator {
         }
     }
 
-    /// Commits an inline-executed `call` terminator: the stack push, pc
-    /// redirect, retired count and PBS call observation — the state
-    /// effects of `step_decoded`'s `Call` arm. On overflow the machine
-    /// halts on the faulting instruction with nothing retired, exactly
-    /// like the interpreter.
+    /// Commits a `call`: the stack push, pc redirect, retired count and
+    /// PBS call observation. On overflow the machine halts on the
+    /// faulting instruction with nothing retired.
     #[inline(always)]
     pub(crate) fn commit_term_call(&mut self, pc: u32, target: u32) -> Result<(), EmuError> {
         if self.call_stack.len() >= self.config.max_call_depth {
@@ -1069,10 +914,10 @@ impl Emulator {
         Ok(())
     }
 
-    /// `PROB_JMP` executed inline as a block terminator: pending-value
-    /// push, probabilistic resolution, pc redirect and retire, PBS
-    /// history observation. Returns `(taken, kind)` for the branch
-    /// record — `kind` distinguishes PBS-directed resolutions.
+    /// Commits a jumping `PROB_JMP`: pending-value push, probabilistic
+    /// resolution, pc redirect and retire, PBS history observation.
+    /// Returns `(taken, kind)` for the branch record — `kind`
+    /// distinguishes PBS-directed resolutions.
     #[inline(always)]
     pub(crate) fn commit_term_prob(
         &mut self,
@@ -1099,8 +944,9 @@ impl Emulator {
         (taken, kind)
     }
 
-    /// Commits an inline-executed `ret` terminator — `step_decoded`'s
-    /// `Ret` arm minus the record construction.
+    /// Commits a `ret`: the stack pop, pc redirect, retired count and
+    /// PBS return observation. On underflow the machine halts on the
+    /// faulting instruction with nothing retired.
     #[inline(always)]
     pub(crate) fn commit_term_ret(&mut self, pc: u32) -> Result<(), EmuError> {
         let Some(ra) = self.call_stack.pop() else {
@@ -1115,25 +961,23 @@ impl Emulator {
         Ok(())
     }
 
-    /// Executes one straight-line op from a compiled block body without
-    /// touching `pc`/`executed` — the block executor commits those in
-    /// bulk via [`commit_straight`](Self::commit_straight). Returns the
-    /// pre-simulation data address for loads (`None` for everything
-    /// else; stores never reach the data-latency pre-simulation, same
-    /// as the capture path over [`step_decoded`](Self::step_decoded)).
+    /// Executes one straight-line op without touching `pc`/`executed`:
+    /// the caller commits those through
+    /// [`commit_straight`](Self::commit_straight) — per op in
+    /// [`step_decoded`](Self::step_decoded), in bulk per compiled block
+    /// body in `crate::aot`. Returns the pre-simulation data address
+    /// for loads (`None` for everything else; stores never reach the
+    /// data-latency pre-simulation).
     ///
-    /// The arms are copied verbatim from `step_decoded`'s non-control
-    /// subset — including the PBS probes (`prob_cmp`, `prob_jmp_push`),
-    /// which are plain straight-line ops from the trace's point of
-    /// view; the capture-tier equivalence proptests lock the two
-    /// datapaths together. Control ops (block terminators) and `out`
-    /// never enter a block body — the block builder in `crate::aot`
-    /// routes them through `step_decoded`.
+    /// This is the decoded datapath's one implementation of every
+    /// non-control op, including the PBS probes (`prob_cmp`,
+    /// `prob_jmp_push`), which are plain straight-line ops from the
+    /// trace's point of view. Control ops, `out` and `halt` never reach
+    /// it.
     ///
     /// # Errors
     ///
-    /// Memory faults halt the machine and propagate, exactly like
-    /// `step_decoded`.
+    /// Memory faults halt the machine and propagate.
     #[inline(always)]
     pub(crate) fn exec_straight_op(&mut self, op: DecOp, pc: u32) -> Result<Option<u64>, EmuError> {
         match op {
@@ -1232,30 +1076,16 @@ impl Emulator {
             }
             DecOp::ProbJmpQuiet => {}
             DecOp::Nop => {}
-            _ => unreachable!("control and rare ops never enter a block body"),
+            _ => unreachable!("control ops, `out` and `halt` are not straight-line"),
         }
         Ok(None)
     }
 
     /// Executes up to `max` instructions from the predecoded form,
-    /// refilling `buf` (cleared first) with their [`StepRecord`]s — the
-    /// batch half of the fused emulate→time loop. Stops early at `halt`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`EmuError`]; records buffered before the
-    /// fault are left in `buf`.
-    pub fn step_block(&mut self, buf: &mut Vec<StepRecord>, max: usize) -> Result<(), EmuError> {
-        buf.clear();
-        self.step_block_with(max, |rec| buf.push(rec)).map(|_| ())
-    }
-
-    /// Executes up to `max` instructions, handing each [`StepRecord`] to
-    /// `sink` as it is produced — the zero-buffer form of
-    /// [`step_block`](Self::step_block) used by trace capture, which
-    /// packs records into its own chunk layout and would otherwise pay a
-    /// buffer round-trip per record. Returns the number of instructions
-    /// executed (0 once halted).
+    /// handing each [`StepRecord`] to `sink` as it is produced — the
+    /// interpreter tier of trace capture, which packs records straight
+    /// into its own chunk layout. Stops early at `halt`. Returns the
+    /// number of instructions executed (0 once halted).
     ///
     /// # Errors
     ///
@@ -1657,21 +1487,26 @@ mod tests {
     }
 
     #[test]
-    fn step_block_batches_and_stops_at_halt() {
+    fn step_block_with_batches_and_stops_at_halt() {
         let mut bld = ProgramBuilder::new();
         bld.li(Reg::R1, 1)
             .add(Reg::R1, Reg::R1, 1)
             .out(Reg::R1, 3)
             .halt();
         let mut e = Emulator::new(bld.build().unwrap(), EmuConfig::default());
-        let mut buf = Vec::new();
-        e.step_block(&mut buf, 3).unwrap();
-        assert_eq!(buf.len(), 3);
-        assert_eq!(buf[0].pc, 0);
-        e.step_block(&mut buf, 64).unwrap();
-        assert_eq!(buf.len(), 1, "only the halt remains");
-        e.step_block(&mut buf, 64).unwrap();
-        assert!(buf.is_empty(), "halted machine yields an empty block");
+        let mut pcs = Vec::new();
+        assert_eq!(e.step_block_with(3, |rec| pcs.push(rec.pc)).unwrap(), 3);
+        assert_eq!(pcs, [0, 1, 2]);
+        assert_eq!(
+            e.step_block_with(64, |_| {}).unwrap(),
+            1,
+            "only the halt remains"
+        );
+        assert_eq!(
+            e.step_block_with(64, |_| {}).unwrap(),
+            0,
+            "halted machine yields an empty block"
+        );
         assert_eq!(e.output(3), &[2]);
         assert_eq!(e.outputs_sorted(), vec![(3u16, vec![2u64])]);
     }

@@ -3,23 +3,19 @@
 //!
 //! [`Simulation`] is the single entry point, keyed by [`EngineKind`]:
 //!
-//! * [`EngineKind::Fused`] — the emulator executes from the predecoded
-//!   program and writes compact [`StepRecord`]s into a small batch
-//!   buffer that the timing model drains, with the branch predictor
-//!   dispatched statically through [`PredictorDispatch`] so the
-//!   per-branch predict/update pair inlines;
-//! * [`EngineKind::Reference`] — the original unfused loop (a
-//!   [`DynInst`](crate::DynInst) stream into `Box<dyn BranchPredictor>`),
-//!   kept as the differential baseline the equivalence suite checks
-//!   every other engine against;
 //! * [`EngineKind::Replay`] — emulate once, time many: one capture
 //!   streamed chunk by chunk through every timing cell of an emulation
 //!   key, or cells re-timing a materialized [`DynTrace`], with each
 //!   chunk's branches batch-predicted ahead of the timing walk (see
-//!   `trace.rs`).
+//!   `trace.rs`);
+//! * [`EngineKind::Reference`] — the independent oracle: the
+//!   [`Inst`](probranch_isa::Inst)-level interpreter
+//!   ([`Emulator::step`]) streaming [`DynInst`](crate::DynInst) records
+//!   into `Box<dyn BranchPredictor>` and a live memory hierarchy,
+//!   sharing neither the decoded datapath nor the capture/replay code.
 //!
-//! All three produce byte-identical [`SimReport`]s — equality over
-//! every field, error paths included — locked in by
+//! Both produce byte-identical [`SimReport`]s — equality over every
+//! field, error paths included — locked in by
 //! `tests/engine_equivalence.rs`.
 
 use probranch_core::{PbsConfig, PbsStats, PbsUnit};
@@ -28,7 +24,7 @@ use probranch_predictor::{
     BranchPredictor, PredictorDispatch, StaticPredictor, TageScL, Tournament,
 };
 
-use crate::machine::{EmuConfig, EmuError, Emulator, StepRecord};
+use crate::machine::{EmuConfig, EmuError, Emulator};
 use crate::ooo::{OooConfig, OooTimingModel, TimingStats};
 use crate::trace::{drain_chunk_many, DynTrace, ReplayConsumer, TraceChunk, TraceStream};
 
@@ -59,7 +55,7 @@ impl PredictorChoice {
     }
 
     /// Instantiates the predictor behind the static [`PredictorDispatch`]
-    /// enum, letting per-branch lookups inline into the fused engine.
+    /// enum, letting the replay engine's batched lookups inline.
     pub fn build_dispatch(self) -> PredictorDispatch {
         match self {
             PredictorChoice::Tournament => PredictorDispatch::from(Tournament::default()),
@@ -167,7 +163,7 @@ impl SimConfig {
 /// The result of a simulation run.
 ///
 /// `PartialEq` compares every field — the engine-equivalence suite
-/// asserts whole-report equality between the fused and reference
+/// asserts whole-report equality between the replay and reference
 /// engines.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
@@ -208,8 +204,10 @@ impl SimReport {
 ///
 /// The engines produce byte-identical [`SimReport`]s — equality over
 /// every field, error paths included — locked in by
-/// `tests/engine_equivalence.rs`. They differ only in execution shape,
-/// and therefore in throughput and memory footprint.
+/// `tests/engine_equivalence.rs`. They share the predictors, the PBS
+/// unit, the cache model, the timing model's cycle-accounting core and
+/// the emulator's ALU and PBS-resolution helpers, but not the decoded
+/// datapath or the capture/replay code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
     /// The emulate-once/time-many replay engine (default): a run
@@ -222,27 +220,24 @@ pub enum EngineKind {
     /// walk.
     #[default]
     Replay,
-    /// The fused emulate→time engine: emulator, predictor and timing
-    /// model advance together, re-emulating every cell. As a *live*
-    /// engine it must consult the predictor serially per branch — the
-    /// interleaving replay's batched path reproduces bit-exactly.
-    Fused,
-    /// The original unfused loop (a [`DynInst`](crate::DynInst) stream
-    /// into `Box<dyn BranchPredictor>`) — the slow differential
-    /// baseline.
+    /// The independent oracle: the [`Inst`](probranch_isa::Inst)-level
+    /// interpreter ([`Emulator::step`]) feeding a
+    /// [`DynInst`](crate::DynInst) stream into
+    /// `Box<dyn BranchPredictor>`, emulator, predictor and timing model
+    /// advancing together and re-emulating every cell — the slow
+    /// differential baseline, and the supervision cascade's fallback.
     Reference,
 }
 
 impl EngineKind {
     /// Every engine, replay first — the order differential matrices
     /// iterate.
-    pub const ALL: [EngineKind; 3] = [EngineKind::Replay, EngineKind::Fused, EngineKind::Reference];
+    pub const ALL: [EngineKind; 2] = [EngineKind::Replay, EngineKind::Reference];
 
     /// Parses an engine name (as accepted by `figures --engine`).
     pub fn parse(name: &str) -> Option<EngineKind> {
         match name {
             "replay" => Some(EngineKind::Replay),
-            "fused" => Some(EngineKind::Fused),
             "reference" => Some(EngineKind::Reference),
             _ => None,
         }
@@ -252,14 +247,13 @@ impl EngineKind {
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Replay => "replay",
-            EngineKind::Fused => "fused",
             EngineKind::Reference => "reference",
         }
     }
 }
 
 /// The simulator's single entry point: an [`EngineKind`] plus the four
-/// run shapes every engine supports — live single cell ([`run`]),
+/// run shapes both engines support — live single cell ([`run`]),
 /// live multi-cell ([`run_many`]), materialized-trace single cell
 /// ([`replay`]) and materialized-trace multi-cell ([`replay_many`]).
 ///
@@ -280,11 +274,11 @@ impl EngineKind {
 ///  .br(CmpOp::Lt, Reg::R1, 1000, top)
 ///  .halt();
 /// let program = b.build()?;
-/// let report = Simulation::new(EngineKind::Fused).run(&program, &SimConfig::default())?;
+/// let report = Simulation::default().run(&program, &SimConfig::default())?;
 /// assert!(report.timing.ipc() > 0.5);
-/// // Any other engine produces the byte-identical report.
-/// let replayed = Simulation::default().run(&program, &SimConfig::default())?;
-/// assert_eq!(replayed, report);
+/// // The reference oracle produces the byte-identical report.
+/// let oracle = Simulation::new(EngineKind::Reference).run(&program, &SimConfig::default())?;
+/// assert_eq!(oracle, report);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -316,7 +310,6 @@ impl Simulation {
     /// identically across engines.
     pub fn run(self, program: &Program, config: &SimConfig) -> Result<SimReport, EmuError> {
         match self.engine {
-            EngineKind::Fused => run_fused(program, config),
             EngineKind::Reference => run_reference(program, config),
             EngineKind::Replay => run_streamed(program, std::slice::from_ref(config))
                 .map(|mut reports| reports.pop().expect("one report per config")),
@@ -329,7 +322,7 @@ impl Simulation {
     /// emulation key (equal `pbs`, `emu` and `max_insts`): the program
     /// is emulated once and each captured chunk drains through every
     /// cell before the next is captured, so only one chunk-sized buffer
-    /// is ever live. The live engines simply run back to back.
+    /// is ever live. The reference engine simply runs them back to back.
     ///
     /// # Panics
     ///
@@ -345,7 +338,6 @@ impl Simulation {
         configs: &[SimConfig],
     ) -> Result<Vec<SimReport>, EmuError> {
         match self.engine {
-            EngineKind::Fused => configs.iter().map(|cfg| run_fused(program, cfg)).collect(),
             EngineKind::Reference => configs
                 .iter()
                 .map(|cfg| run_reference(program, cfg))
@@ -358,10 +350,10 @@ impl Simulation {
     /// (predictor, core, filter mode, branch tracing) without
     /// re-emulating.
     ///
-    /// The materialized-trace path is shared by every engine — a trace
+    /// The materialized-trace path is shared by both engines — a trace
     /// fixes the dynamic instruction stream, so the engine choice
     /// cannot change the report — which keeps this method total over
-    /// [`EngineKind`] (the live engines have nothing left to
+    /// [`EngineKind`] (the reference engine has nothing left to
     /// re-execute).
     ///
     /// # Panics
@@ -401,56 +393,7 @@ impl Simulation {
     }
 }
 
-/// The fused emulate→time engine body (see [`EngineKind::Fused`]).
-fn run_fused(program: &Program, config: &SimConfig) -> Result<SimReport, EmuError> {
-    let mut emu = build_emulator(program, config);
-    let mut predictor = config.predictor.build_dispatch();
-    let mut timing = OooTimingModel::new(config.core.clone());
-    if config.collect_branch_trace {
-        timing.enable_trace();
-    }
-
-    // The fused emulate→time loop: the emulator fills a small batch of
-    // compact records from the predecoded program, then the timing model
-    // drains it against the statically dispatched predictor. Batches are
-    // capped at the remaining instruction budget so the limit trips at
-    // exactly the same dynamic instruction as the reference engine.
-    const BATCH: u64 = 64;
-    use crate::cancel::CANCEL_STRIDE;
-    let mut buf: Vec<StepRecord> = Vec::with_capacity(BATCH as usize);
-    let mut executed: u64 = 0;
-    let mut next_cancel_poll: u64 = 0;
-    loop {
-        if executed >= next_cancel_poll {
-            crate::cancel::check_current()?;
-            next_cancel_poll = executed + CANCEL_STRIDE;
-        }
-        let budget = (config.max_insts - executed).clamp(1, BATCH) as usize;
-        emu.step_block(&mut buf, budget)?;
-        if buf.is_empty() {
-            break; // halted
-        }
-        let decoded = emu.decoded();
-        for rec in &buf {
-            timing.consume_decoded(
-                decoded.fetch(rec.pc),
-                rec,
-                &mut predictor,
-                config.filter_prob_from_predictor,
-            );
-        }
-        executed += buf.len() as u64;
-        if executed >= config.max_insts {
-            return Err(EmuError::InstLimitExceeded {
-                limit: config.max_insts,
-            });
-        }
-    }
-
-    Ok(report_of(emu, timing))
-}
-
-/// The original unfused engine body (see [`EngineKind::Reference`]):
+/// The reference engine body (see [`EngineKind::Reference`]):
 /// per-instruction [`DynInst`](crate::DynInst) records and a
 /// `Box<dyn BranchPredictor>`.
 fn run_reference(program: &Program, config: &SimConfig) -> Result<SimReport, EmuError> {
@@ -595,8 +538,8 @@ const _: () = {
 mod tests {
     use super::*;
 
-    fn fused(p: &Program, cfg: &SimConfig) -> Result<SimReport, EmuError> {
-        Simulation::new(EngineKind::Fused).run(p, cfg)
+    fn reference(p: &Program, cfg: &SimConfig) -> Result<SimReport, EmuError> {
+        Simulation::new(EngineKind::Reference).run(p, cfg)
     }
     use probranch_isa::{CmpOp, ProgramBuilder, Reg};
 
@@ -631,8 +574,8 @@ mod tests {
     #[test]
     fn pbs_eliminates_prob_mispredictions() {
         let p = prob_workload(20_000);
-        let base = fused(&p, &SimConfig::default()).unwrap();
-        let pbs = fused(&p, &SimConfig::default().with_pbs()).unwrap();
+        let base = reference(&p, &SimConfig::default()).unwrap();
+        let pbs = reference(&p, &SimConfig::default().with_pbs()).unwrap();
         // Baseline: the ~50% branch mispredicts heavily.
         assert!(
             base.timing.mispredicts_prob > 5000,
@@ -678,12 +621,12 @@ mod tests {
         // tournament branch predictor with PBS outperforms the
         // TAGE-SC-L predictor."
         let p = prob_workload(20_000);
-        let tage = fused(
+        let tage = reference(
             &p,
             &SimConfig::default().predictor(PredictorChoice::TageScL),
         )
         .unwrap();
-        let tour_pbs = fused(
+        let tour_pbs = reference(
             &p,
             &SimConfig::default()
                 .predictor(PredictorChoice::Tournament)
@@ -703,9 +646,9 @@ mod tests {
         let p = prob_workload(5_000);
         let mut cfg = SimConfig::default().predictor(PredictorChoice::Tournament);
         cfg.filter_prob_from_predictor = true;
-        let filtered = fused(&p, &cfg).unwrap();
+        let filtered = reference(&p, &cfg).unwrap();
         assert_eq!(filtered.timing.mispredicts_prob, 0);
-        let unfiltered = fused(
+        let unfiltered = reference(
             &p,
             &SimConfig::default().predictor(PredictorChoice::Tournament),
         )
@@ -718,8 +661,8 @@ mod tests {
     #[test]
     fn determinism_across_runs() {
         let p = prob_workload(3_000);
-        let a = fused(&p, &SimConfig::default().with_pbs()).unwrap();
-        let b = fused(&p, &SimConfig::default().with_pbs()).unwrap();
+        let a = reference(&p, &SimConfig::default().with_pbs()).unwrap();
+        let b = reference(&p, &SimConfig::default().with_pbs()).unwrap();
         assert_eq!(a.timing, b.timing);
         assert_eq!(a.prob_consumed, b.prob_consumed);
         assert_eq!(a.output(0), b.output(0));
@@ -733,7 +676,7 @@ mod tests {
             ..SimConfig::default()
         };
         assert!(matches!(
-            fused(&p, &cfg),
+            reference(&p, &cfg),
             Err(EmuError::InstLimitExceeded { .. })
         ));
     }
@@ -756,12 +699,12 @@ mod tests {
     #[test]
     fn wide_core_does_not_regress_ipc() {
         let p = prob_workload(5_000);
-        let narrow = fused(&p, &SimConfig::default()).unwrap();
+        let narrow = reference(&p, &SimConfig::default()).unwrap();
         let wide_cfg = SimConfig {
             core: OooConfig::wide(),
             ..SimConfig::default()
         };
-        let wide = fused(&p, &wide_cfg).unwrap();
+        let wide = reference(&p, &wide_cfg).unwrap();
         assert!(wide.timing.ipc() >= narrow.timing.ipc() * 0.99);
     }
 }

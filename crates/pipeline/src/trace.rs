@@ -7,8 +7,8 @@
 //! tracing live entirely in the timing model and feed nothing back into
 //! the emulator. This module makes that stream a first-class artifact:
 //!
-//! * [`TraceStream`] — the capture half of the fused engine, split out:
-//!   drains the emulator's [`StepRecord`](crate::StepRecord) stream (branch outcomes and
+//! * [`TraceStream`] — the capture half of the replay engine: drains
+//!   the emulator's [`StepRecord`](crate::StepRecord) stream (branch outcomes and
 //!   prob-branch resolutions ride inside the records) into
 //!   structure-of-arrays [`TraceChunk`]s, pre-simulating the memory
 //!   hierarchy — whose evolution also depends only on the pc/address
@@ -18,8 +18,8 @@
 //!   cell of a sweep, optionally persisted to disk (see `persist`);
 //! * [`ReplayConsumer`] — the consume half: an
 //!   [`OooTimingModel`] + statically dispatched predictor pair that
-//!   drains chunks through the same cycle-accounting core as the live
-//!   engines ([`OooTimingModel::consume_core`]). The predictor runs
+//!   drains chunks through the same cycle-accounting core as the
+//!   reference engine ([`OooTimingModel::consume_core`]). The predictor runs
 //!   *ahead* of the timing drain: each chunk's predictor-visible
 //!   branches are gathered into one request batch and handed to
 //!   [`BranchPredictor::predict_update_batch`] through
@@ -55,7 +55,7 @@
 //! pair drain decodes every record once and advances both timing
 //! models in lockstep; other group sizes drain consumer by consumer.
 //!
-//! Replay is byte-identical to the fused engine — `SimReport` equality
+//! Replay is byte-identical to the reference engine — `SimReport` equality
 //! including `branch_trace`, `prob_consumed` and the error paths — which
 //! `tests/engine_equivalence.rs` and the capture-then-replay property
 //! test lock in.
@@ -962,7 +962,7 @@ pub(crate) fn record_costs(
     (istall as u8, dlat as u8)
 }
 
-/// The capture half of the fused engine, split out as a chunk stream.
+/// The capture half of the replay engine, as a chunk stream.
 ///
 /// Drive it with [`fill`](TraceStream::fill) until it reports the
 /// machine halted, then take the architectural results with
@@ -1095,7 +1095,7 @@ impl TraceStream {
     ///
     /// Propagates emulator faults, and returns
     /// [`EmuError::InstLimitExceeded`] at exactly the dynamic
-    /// instruction where the fused engine would: when the dynamic
+    /// instruction where the reference engine would: when the dynamic
     /// instruction count reaches `max_insts` without a halt.
     pub fn fill(&mut self, chunk: &mut TraceChunk) -> Result<bool, EmuError> {
         if self.blocks.is_some() {
@@ -1113,11 +1113,11 @@ impl TraceStream {
         }
         // Cooperative cancellation: one poll per chunk bounds how much
         // work a cancelled capture or streamed run performs after the fact
-        // (a chunk is exactly the fused engine's 64 Ki poll stride).
+        // (a chunk is exactly the 64 Ki `CANCEL_STRIDE`).
         crate::cancel::check_current()?;
         // Cap the chunk at the remaining instruction budget so the limit
-        // trips at exactly the same dynamic instruction as the fused
-        // engine's batch loop.
+        // trips at exactly the same dynamic instruction as the reference
+        // engine.
         let budget = (self.max_insts - self.executed).clamp(1, TRACE_CHUNK_RECORDS as u64) as usize;
         let TraceStream {
             emu,
@@ -1299,7 +1299,7 @@ impl DynTrace {
     }
 }
 
-/// The consume half of the fused engine: one timing model and its
+/// The consume half of the replay engine: one timing model and its
 /// statically dispatched predictor, fed chunks of a captured trace.
 ///
 /// Each chunk drains in two phases. First the consumer gathers the
@@ -1311,7 +1311,7 @@ impl DynTrace {
 /// through a position-only feed into the unchanged cycle-accounting
 /// core. This is a pure replay-side reordering: the predictor observes
 /// exactly the serial request stream, so reports stay byte-identical
-/// to the live engines.
+/// to the reference engine.
 #[derive(Debug)]
 pub struct ReplayConsumer {
     timing: OooTimingModel,
@@ -1611,7 +1611,7 @@ impl ReplayConsumer {
 
     /// Finishes the replay: the timing model's statistics joined with
     /// the trace's architectural results into the same [`SimReport`] the
-    /// fused engine would have produced.
+    /// reference engine would have produced.
     pub fn into_report(mut self, functional: &TraceFunctional) -> SimReport {
         SimReport {
             timing: self.timing.stats(),
@@ -1675,14 +1675,16 @@ mod tests {
     }
 
     #[test]
-    fn capture_then_replay_equals_fused_for_every_config() {
+    fn capture_then_replay_equals_reference_for_every_config() {
         let p = workload(3000);
         for cfg in configs() {
-            let fused = Simulation::new(EngineKind::Fused).run(&p, &cfg).unwrap();
+            let oracle = Simulation::new(EngineKind::Reference)
+                .run(&p, &cfg)
+                .unwrap();
             let trace = DynTrace::capture(&p, &cfg).unwrap();
-            assert_eq!(trace.instructions(), fused.timing.instructions);
+            assert_eq!(trace.instructions(), oracle.timing.instructions);
             let replayed = Simulation::default().replay(&trace, &cfg).unwrap();
-            assert_eq!(replayed, fused, "replay drift under {cfg:?}");
+            assert_eq!(replayed, oracle, "replay drift under {cfg:?}");
         }
     }
 
@@ -1697,9 +1699,11 @@ mod tests {
             PredictorChoice::StaticTaken,
         ] {
             let cfg = SimConfig::default().with_pbs().predictor(predictor);
-            let fused = Simulation::new(EngineKind::Fused).run(&p, &cfg).unwrap();
+            let oracle = Simulation::new(EngineKind::Reference)
+                .run(&p, &cfg)
+                .unwrap();
             let replayed = Simulation::default().replay(&trace, &cfg).unwrap();
-            assert_eq!(replayed, fused, "replay drift for {predictor:?}");
+            assert_eq!(replayed, oracle, "replay drift for {predictor:?}");
         }
     }
 
@@ -1712,8 +1716,10 @@ mod tests {
         assert!(trace.bytes() > 0);
         let total: usize = trace.chunks().iter().map(TraceChunk::len).sum();
         assert_eq!(total as u64, trace.instructions());
-        let fused = Simulation::new(EngineKind::Fused).run(&p, &cfg).unwrap();
-        assert_eq!(Simulation::default().replay(&trace, &cfg).unwrap(), fused);
+        let oracle = Simulation::new(EngineKind::Reference)
+            .run(&p, &cfg)
+            .unwrap();
+        assert_eq!(Simulation::default().replay(&trace, &cfg).unwrap(), oracle);
     }
 
     #[test]
@@ -1742,18 +1748,18 @@ mod tests {
     }
 
     #[test]
-    fn capture_reports_inst_limit_like_the_fused_engine() {
+    fn capture_reports_inst_limit_like_the_reference_engine() {
         let p = workload(100_000);
         for max_insts in [1, 2, 1000, TRACE_CHUNK_RECORDS as u64 + 1] {
             let cfg = SimConfig {
                 max_insts,
                 ..SimConfig::default()
             };
-            let fused = Simulation::new(EngineKind::Fused).run(&p, &cfg);
+            let oracle = Simulation::new(EngineKind::Reference).run(&p, &cfg);
             let captured = DynTrace::capture(&p, &cfg).map(|_| ());
             assert_eq!(
                 captured.unwrap_err(),
-                fused.unwrap_err(),
+                oracle.unwrap_err(),
                 "limit {max_insts}"
             );
         }
@@ -1770,7 +1776,7 @@ mod tests {
         };
         assert_eq!(
             Simulation::default().replay(&trace, &tight),
-            Simulation::new(EngineKind::Fused).run(&p, &tight)
+            Simulation::new(EngineKind::Reference).run(&p, &tight)
         );
     }
 

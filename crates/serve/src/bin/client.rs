@@ -19,7 +19,7 @@ usage: probranch-client ADDR [options]
 
 options:
   --scale smoke|bench|paper   sweep scale (default: smoke)
-  --engine NAME               emulation engine (default: replay)
+  --engine replay|reference   simulation engine (default: replay)
   --jobs N                    parallel cells per sweep
   --deadline-ms N             per-request cancellation deadline
   --sections a,b,c            subset of sections (default: all, with header)

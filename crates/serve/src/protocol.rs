@@ -82,7 +82,8 @@ pub struct SweepRequest {
     pub section: String,
     /// Experiment scale (`smoke`, `bench`, `paper`).
     pub scale: String,
-    /// Engine name (`replay`, `fused`, `reference`).
+    /// Engine name (`replay` or `reference`); the server answers any
+    /// other name with a bad-request error.
     pub engine: String,
     /// Worker count; `None` = the server's default.
     pub jobs: Option<usize>,

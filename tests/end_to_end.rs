@@ -13,7 +13,7 @@ fn every_workload_runs_under_all_four_configurations() {
                 if pbs {
                     cfg = cfg.with_pbs();
                 }
-                let r = Simulation::new(EngineKind::Fused)
+                let r = Simulation::default()
                     .run(&program, &cfg)
                     .unwrap_or_else(|e| panic!("{} {predictor:?} pbs={pbs}: {e}", b.name()));
                 assert!(r.timing.instructions > 1000, "{}", b.name());
@@ -27,10 +27,10 @@ fn every_workload_runs_under_all_four_configurations() {
 fn pbs_reduces_mpki_on_every_workload_with_tage() {
     for b in all_benchmarks(Scale::Smoke, 3) {
         let program = b.program();
-        let base = Simulation::new(EngineKind::Fused)
+        let base = Simulation::default()
             .run(&program, &SimConfig::default())
             .unwrap();
-        let pbs = Simulation::new(EngineKind::Fused)
+        let pbs = Simulation::default()
             .run(&program, &SimConfig::default().with_pbs())
             .unwrap();
         assert!(
@@ -63,7 +63,7 @@ fn paper_headline_tournament_pbs_beats_plain_tage_on_average() {
     let mut tour_pbs_cycles = 0u64;
     for b in all_benchmarks(Scale::Smoke, 5) {
         let program = b.program();
-        tage_cycles += Simulation::new(EngineKind::Fused)
+        tage_cycles += Simulation::default()
             .run(
                 &program,
                 &SimConfig::default().predictor(PredictorChoice::TageScL),
@@ -71,7 +71,7 @@ fn paper_headline_tournament_pbs_beats_plain_tage_on_average() {
             .unwrap()
             .timing
             .cycles;
-        tour_pbs_cycles += Simulation::new(EngineKind::Fused)
+        tour_pbs_cycles += Simulation::default()
             .run(
                 &program,
                 &SimConfig::default()
@@ -104,16 +104,12 @@ fn wider_core_gets_larger_pbs_benefit() {
                 core: cfgs.clone(),
                 ..SimConfig::default()
             };
-            let base = Simulation::new(EngineKind::Fused)
-                .run(&program, &base_cfg)
-                .unwrap();
+            let base = Simulation::default().run(&program, &base_cfg).unwrap();
             let pbs_cfg = SimConfig {
                 core: cfgs,
                 ..SimConfig::default().with_pbs()
             };
-            let pbs = Simulation::new(EngineKind::Fused)
-                .run(&program, &pbs_cfg)
-                .unwrap();
+            let pbs = Simulation::default().run(&program, &pbs_cfg).unwrap();
             *acc += base.timing.cycles as f64 / pbs.timing.cycles as f64;
         }
     }
@@ -131,10 +127,10 @@ fn binary_round_trip_preserves_simulation_results() {
     let program = b.program();
     let image = probranch::isa::encode(&program);
     let decoded = probranch::isa::Program::new(probranch::isa::decode(&image).unwrap()).unwrap();
-    let r1 = Simulation::new(EngineKind::Fused)
+    let r1 = Simulation::default()
         .run(&program, &SimConfig::default().with_pbs())
         .unwrap();
-    let r2 = Simulation::new(EngineKind::Fused)
+    let r2 = Simulation::default()
         .run(&decoded, &SimConfig::default().with_pbs())
         .unwrap();
     assert_eq!(r1.timing, r2.timing);
@@ -177,10 +173,10 @@ fn determinism_across_identical_runs() {
     // when given the same initial random seed."
     let b = Photon::new(Scale::Smoke, 11);
     let program = b.program();
-    let r1 = Simulation::new(EngineKind::Fused)
+    let r1 = Simulation::default()
         .run(&program, &SimConfig::default().with_pbs())
         .unwrap();
-    let r2 = Simulation::new(EngineKind::Fused)
+    let r2 = Simulation::default()
         .run(&program, &SimConfig::default().with_pbs())
         .unwrap();
     assert_eq!(r1.timing, r2.timing);
@@ -191,7 +187,7 @@ fn determinism_across_identical_runs() {
 #[test]
 fn pbs_unit_stats_are_consistent_with_timing_stats() {
     let b = Greeks::new(Scale::Smoke, 5);
-    let r = Simulation::new(EngineKind::Fused)
+    let r = Simulation::default()
         .run(&b.program(), &SimConfig::default().with_pbs())
         .unwrap();
     let pbs = r.pbs.expect("PBS attached");

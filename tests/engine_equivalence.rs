@@ -1,15 +1,16 @@
-//! Engine-equivalence suite: the fused/predecoded engine
-//! (`EngineKind::Fused`), the unfused reference engine
-//! (`EngineKind::Reference`) and the shared-trace replay engine
+//! Engine-equivalence suite: the shared-trace replay engine
 //! (`EngineKind::Replay`: `DynTrace::capture` + `Simulation::replay`,
-//! and the chunk-streaming `Simulation::run_many`) must all produce
-//! **identical** `SimReport`s — timing statistics, PBS counters,
-//! outputs, the consumed probabilistic-value stream, and the per-branch
-//! trace — for every workload of the golden/determinism suites, under
-//! every machine configuration the paper sweeps. Error paths included:
-//! the instruction budget trips at the same dynamic instruction in
-//! every engine. The replay paths all run the batched-prediction chunk
-//! drain through `predict_update_batch`.
+//! and the chunk-streaming `Simulation::run_many`) must produce
+//! **identical** `SimReport`s to the reference oracle
+//! (`EngineKind::Reference`: the `Inst`-level interpreter driving a
+//! live memory hierarchy and a serially consulted predictor) — timing
+//! statistics, PBS counters, outputs, the consumed probabilistic-value
+//! stream, and the per-branch trace — for every workload of the
+//! golden/determinism suites, under every machine configuration the
+//! paper sweeps. Error paths included: the instruction budget trips at
+//! the same dynamic instruction in both engines. The replay paths all
+//! run the batched-prediction chunk drain through
+//! `predict_update_batch`.
 //!
 //! The comparison sweeps run through the parallel experiment harness
 //! with default jobs, so the CI matrix (PROBRANCH_JOBS=1 vs default)
@@ -41,10 +42,6 @@ fn config_for(cell: &Cell, core: OooConfig, trace: bool) -> SimConfig {
     cfg
 }
 
-fn fused(program: &Program, cfg: &SimConfig) -> Result<SimReport, EmuError> {
-    Simulation::new(EngineKind::Fused).run(program, cfg)
-}
-
 fn reference(program: &Program, cfg: &SimConfig) -> Result<SimReport, EmuError> {
     Simulation::new(EngineKind::Reference).run(program, cfg)
 }
@@ -55,27 +52,30 @@ fn replayed(program: &Program, cfg: &SimConfig) -> SimReport {
     Simulation::default().replay(&trace, cfg).expect("replay")
 }
 
-fn assert_reports_equal(cell: &Cell, fused: &SimReport, reference: &SimReport) {
+fn assert_reports_equal(cell: &Cell, replay: &SimReport, reference: &SimReport) {
     // Field-by-field first, so a drift names the diverging component…
-    assert_eq!(fused.timing, reference.timing, "timing drift on {cell:?}");
-    assert_eq!(fused.pbs, reference.pbs, "PBS-counter drift on {cell:?}");
-    assert_eq!(fused.outputs, reference.outputs, "output drift on {cell:?}");
+    assert_eq!(replay.timing, reference.timing, "timing drift on {cell:?}");
+    assert_eq!(replay.pbs, reference.pbs, "PBS-counter drift on {cell:?}");
     assert_eq!(
-        fused.prob_consumed, reference.prob_consumed,
+        replay.outputs, reference.outputs,
+        "output drift on {cell:?}"
+    );
+    assert_eq!(
+        replay.prob_consumed, reference.prob_consumed,
         "consumed-stream drift on {cell:?}"
     );
     assert_eq!(
-        fused.branch_trace, reference.branch_trace,
+        replay.branch_trace, reference.branch_trace,
         "branch-trace drift on {cell:?}"
     );
     // …then the whole report, so no future field escapes the net.
-    assert_eq!(fused, reference, "report drift on {cell:?}");
+    assert_eq!(replay, reference, "report drift on {cell:?}");
 }
 
 /// Every benchmark × {tournament, TAGE-SC-L} × {PBS off, on} on the
 /// default 4-wide core — the fig6/fig7 grid the determinism suite runs.
 #[test]
-fn fused_engine_matches_reference_on_the_fig6_grid() {
+fn replay_engine_matches_reference_on_the_fig6_grid() {
     let cells: Vec<Cell> = BenchmarkId::ALL
         .iter()
         .flat_map(|&w| {
@@ -95,24 +95,22 @@ fn fused_engine_matches_reference_on_the_fig6_grid() {
             .program();
         let cfg = config_for(cell, OooConfig::default(), false);
         (
-            fused(&program, &cfg).expect("fused"),
             reference(&program, &cfg).expect("reference"),
             replayed(&program, &cfg),
         )
     });
-    for (cell, (fused, reference, replay)) in cells.iter().zip(&outcomes) {
-        assert_reports_equal(cell, fused, reference);
-        assert_eq!(fused, replay, "replay drift on {cell:?}");
+    for (cell, (reference, replay)) in cells.iter().zip(&outcomes) {
+        assert_reports_equal(cell, replay, reference);
     }
 }
 
-/// The `Simulation` entry point: all three `EngineKind`s —
-/// including the default batched replay engine, whose consumers
-/// pre-predict every chunk through `predict_update_batch` — must
+/// The `Simulation` entry point: both `EngineKind`s — the default
+/// batched replay engine, whose consumers pre-predict every chunk
+/// through `predict_update_batch`, and the reference oracle — must
 /// produce the same report on the full fig6 grid. The TAGE-SC-L cells
 /// are the load-bearing ones: they pin the history-parallel batched
-/// TAGE path byte-identical to the serial predictions the live fused
-/// and reference engines make.
+/// TAGE path byte-identical to the serial predictions the reference
+/// engine makes.
 #[test]
 fn simulation_api_engines_agree_on_the_fig6_grid() {
     assert_eq!(Simulation::default().engine(), EngineKind::Replay);
@@ -148,8 +146,7 @@ fn simulation_api_engines_agree_on_the_fig6_grid() {
         (reports, replays)
     });
     for (cell, (reports, replays)) in cells.iter().zip(&outcomes) {
-        let [replay, fused, reference] = reports;
-        assert_eq!(replay, fused, "batched replay vs fused drift on {cell:?}");
+        let [replay, reference] = reports;
         assert_eq!(
             replay, reference,
             "batched replay vs reference drift on {cell:?}"
@@ -189,9 +186,9 @@ fn one_trace_serves_every_timing_configuration() {
             [plain, filtered]
         })
         .collect();
-        let fused: Vec<SimReport> = configs
+        let oracle: Vec<SimReport> = configs
             .iter()
-            .map(|cfg| fused(&program, cfg).expect("fused"))
+            .map(|cfg| reference(&program, cfg).expect("reference"))
             .collect();
         // Mode (a): one materialized trace, one replay per config.
         let trace = DynTrace::capture(&program, &configs[0]).expect("capture");
@@ -204,17 +201,17 @@ fn one_trace_serves_every_timing_configuration() {
         let streamed = Simulation::default()
             .run_many(&program, &configs)
             .expect("streamed");
-        (fused, replays, streamed)
+        (oracle, replays, streamed)
     });
-    for (key, (fused, replays, streamed)) in keys.iter().zip(&outcomes) {
-        assert_eq!(fused, replays, "shared-trace replay drift on {key:?}");
-        assert_eq!(fused, streamed, "streamed drift on {key:?}");
+    for (key, (oracle, replays, streamed)) in keys.iter().zip(&outcomes) {
+        assert_eq!(oracle, replays, "shared-trace replay drift on {key:?}");
+        assert_eq!(oracle, streamed, "streamed drift on {key:?}");
     }
 }
 
 /// The fused two-consumer pair drain — the loop a streamed Figure 9
-/// cell drains — must equal two independent fused runs for **every
-/// predictor pair** of the fig9 grid (each predictor against itself and
+/// cell drains — must equal two independent reference runs for
+/// **every predictor pair** of the fig9 grid (each predictor against itself and
 /// every other, with the second consumer in the filtered mode), both
 /// streamed (`Simulation::run_many`) and over a materialized trace
 /// (`Simulation::replay_many`).
@@ -241,7 +238,7 @@ fn fused_pair_convoy_matches_independent_replays_for_every_predictor_pair() {
         let pair = [unfiltered, filtered];
         let independent: Vec<SimReport> = pair
             .iter()
-            .map(|cfg| fused(&program, cfg).expect("fused"))
+            .map(|cfg| reference(&program, cfg).expect("reference"))
             .collect();
         let streamed = Simulation::default()
             .run_many(&program, &pair)
@@ -264,7 +261,7 @@ fn fused_pair_convoy_matches_independent_replays_for_every_predictor_pair() {
 /// The golden-trace workloads with branch tracing enabled: the traces —
 /// the predictor's observable behaviour — must match entry for entry.
 #[test]
-fn fused_engine_matches_reference_traces_on_golden_workloads() {
+fn replay_engine_matches_reference_traces_on_golden_workloads() {
     let cells = [
         Cell::new(BenchmarkId::Pi, PredictorChoice::TageScL, false, 0),
         Cell::new(BenchmarkId::Bandit, PredictorChoice::Tournament, false, 0),
@@ -275,29 +272,25 @@ fn fused_engine_matches_reference_traces_on_golden_workloads() {
         let program = cell.workload.build(Scale::Smoke, GOLDEN_SEED).program();
         let cfg = config_for(cell, OooConfig::default(), true);
         (
-            fused(&program, &cfg).expect("fused"),
             reference(&program, &cfg).expect("reference"),
             replayed(&program, &cfg),
+            Simulation::default().run(&program, &cfg).expect("streamed"),
         )
     });
-    for (cell, (fused, reference, replay)) in cells.iter().zip(&outcomes) {
+    for (cell, (reference, replay, streamed)) in cells.iter().zip(&outcomes) {
         assert!(
-            !fused.branch_trace.is_empty(),
+            !reference.branch_trace.is_empty(),
             "trace must be populated for {cell:?}"
         );
-        assert_reports_equal(cell, fused, reference);
-        assert_eq!(
-            fused.branch_trace, replay.branch_trace,
-            "replayed branch-trace drift on {cell:?}"
-        );
-        assert_eq!(fused, replay, "replay drift on {cell:?}");
+        assert_reports_equal(cell, replay, reference);
+        assert_reports_equal(cell, streamed, reference);
     }
 }
 
 /// The wide (8-wide / 256-ROB) core, the static predictors, and the
 /// Figure 9 filter mode — the remaining machine axes.
 #[test]
-fn fused_engine_matches_reference_on_remaining_machine_axes() {
+fn replay_engine_matches_reference_on_remaining_machine_axes() {
     let program = BenchmarkId::Photon
         .build(Scale::Smoke, workload_seed(BenchmarkId::Photon, 1))
         .program();
@@ -322,22 +315,22 @@ fn fused_engine_matches_reference_on_remaining_machine_axes() {
             if pbs {
                 cfg.pbs = Some(PbsConfig::default());
             }
-            let fused = fused(&program, &cfg).expect("fused");
             let reference = reference(&program, &cfg).expect("reference");
             assert_eq!(
-                fused, reference,
-                "report drift: {predictor:?}, filter={filter}, pbs={pbs}"
+                Simulation::default().run(&program, &cfg).expect("streamed"),
+                reference,
+                "streamed drift: {predictor:?}, filter={filter}, pbs={pbs}"
             );
             assert_eq!(
-                fused,
                 replayed(&program, &cfg),
+                reference,
                 "replay drift: {predictor:?}, filter={filter}, pbs={pbs}"
             );
         }
     }
 }
 
-/// Every engine must also agree on *errors*: the instruction budget
+/// Both engines must also agree on *errors*: the instruction budget
 /// trips at the same dynamic instruction — at capture time, and at
 /// replay time when a completed trace is re-timed under a tighter
 /// budget.
@@ -349,27 +342,25 @@ fn engines_match_on_instruction_limits() {
             max_insts,
             ..SimConfig::default()
         };
-        let fused = fused(&program, &cfg);
         let reference = reference(&program, &cfg);
-        assert_eq!(fused, reference, "limit {max_insts}");
-        assert!(fused.is_err(), "limit {max_insts} must trip");
+        assert!(reference.is_err(), "limit {max_insts} must trip");
         // Capture under the same budget errors identically…
         let captured = DynTrace::capture(&program, &cfg);
         assert_eq!(
             captured.as_ref().err(),
-            fused.as_ref().err(),
+            reference.as_ref().err(),
             "capture limit {max_insts}"
         );
         // …and a streamed run propagates it.
         let streamed = Simulation::default().run_many(&program, std::slice::from_ref(&cfg));
         assert_eq!(
             streamed.err(),
-            fused.clone().err(),
+            reference.clone().err(),
             "streamed limit {max_insts}"
         );
     }
     // A completed trace replayed under budgets at/below its length must
-    // return the same error the live engines would — through the
+    // return the same error the reference engine would — through the
     // single-cell and the multi-cell replay alike.
     let full = DynTrace::capture(&program, &SimConfig::default()).expect("capture");
     for max_insts in [1, full.instructions(), full.instructions() + 1] {
@@ -379,14 +370,14 @@ fn engines_match_on_instruction_limits() {
         };
         assert_eq!(
             Simulation::default().replay(&full, &cfg),
-            fused(&program, &cfg),
+            reference(&program, &cfg),
             "replay limit {max_insts}"
         );
         assert_eq!(
             Simulation::default()
                 .replay_many(&full, std::slice::from_ref(&cfg))
                 .map(|mut v| v.pop().expect("one report")),
-            fused(&program, &cfg),
+            reference(&program, &cfg),
             "replay-many limit {max_insts}"
         );
     }
@@ -394,8 +385,8 @@ fn engines_match_on_instruction_limits() {
 
 /// Streamed groups larger than a pair drain consumer by consumer: a
 /// k = 3 `run_many` must equal three independent replays of the
-/// materialized trace — and, when the budget trips, return the fused
-/// engine's error at the same dynamic instruction.
+/// materialized trace — and, when the budget trips, return the
+/// reference engine's error at the same dynamic instruction.
 #[test]
 fn streamed_triple_matches_independent_replays() {
     let program = BenchmarkId::Photon
@@ -425,7 +416,7 @@ fn streamed_triple_matches_independent_replays() {
     assert_eq!(streamed, independent, "streamed triple drift");
     for max_insts in [1, 64, 65, trace.instructions()] {
         let configs = triple(max_insts);
-        let expected = fused(&program, &configs[0]);
+        let expected = reference(&program, &configs[0]);
         assert!(expected.is_err(), "limit {max_insts} must trip");
         assert_eq!(
             Simulation::default().run_many(&program, &configs).err(),

@@ -9,7 +9,7 @@ fn run_with(pbs: PbsConfig, bench: &dyn Benchmark) -> probranch::pipeline::SimRe
         pbs: Some(pbs),
         ..SimConfig::default()
     };
-    Simulation::new(EngineKind::Fused)
+    Simulation::default()
         .run(&bench.program(), &cfg)
         .unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
 }

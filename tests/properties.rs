@@ -239,7 +239,7 @@ proptest! {
         // machine configuration, capturing the dynamic trace once and
         // re-timing it produces the *identical* `SimReport` (timing,
         // outputs, `prob_consumed`, `branch_trace`) — or the identical
-        // error — as the fused engine simulating directly, and so does
+        // error — as the reference oracle simulating directly, and so does
         // the streamed run that never materializes the trace. And
         // block-compiled capture must capture the identical trace to
         // the decoded interpreter, error paths (`InstLimitExceeded` at
@@ -248,7 +248,7 @@ proptest! {
         // xorshift bodies interleaved with rare-op fallbacks
         // (`prob_cmp`/`prob_jmp`/`out`) and block terminators.
         let program = replay_workload(iters);
-        let direct = Simulation::new(EngineKind::Fused).run(&program, &cfg);
+        let direct = Simulation::new(EngineKind::Reference).run(&program, &cfg);
         let interp = DynTrace::capture_interpreted(&program, &cfg);
         let block = DynTrace::capture(&program, &cfg);
         prop_assert_eq!(&block, &interp);
@@ -282,8 +282,93 @@ proptest! {
         prop_assert!(block.is_err());
         prop_assert_eq!(
             block.err(),
-            Simulation::new(EngineKind::Fused).run(&program, &cfg).err()
+            Simulation::new(EngineKind::Reference).run(&program, &cfg).err()
         );
+    }
+
+    #[test]
+    fn decoded_interpreter_lock_steps_the_inst_interpreter(
+        body in proptest::collection::vec(dataflow_inst_strategy(), 1..12),
+        seed in any::<u64>(),
+        iters in 1i64..40,
+        pbs in any::<bool>(),
+    ) {
+        // The decoded interpreter (`step_decoded`, the datapath of
+        // `run_functional` and interpreter capture) against the
+        // `Inst`-level oracle (`step`), record by record. The random
+        // body — whose loads and stores almost always fault — sits in a
+        // backward loop with a forward `cmp`/`jf` skip over a call/ret
+        // (through a `jmp`), a two-value `prob_cmp`/`prob_jmp` group
+        // (within the PBS per-branch value limit, so PBS-directed
+        // resolutions occur) and an in-range store/load, on a machine
+        // with or without PBS.
+        let mut b = probranch::isa::ProgramBuilder::new();
+        let top = b.label("top");
+        let skip = b.label("skip");
+        let join = b.label("join");
+        let f = b.label("f");
+        let f_ret = b.label("f_ret");
+        b.bind(top);
+        for inst in &body {
+            b.emit(*inst);
+        }
+        b.cmp(CmpOp::Lt, Reg::R10, Reg::R11).jf(skip);
+        b.call(f);
+        b.bind(skip);
+        b.prob_cmp(CmpOp::Lt, Reg::R12, Reg::R13);
+        b.prob_jmp_mid(Reg::R14);
+        b.prob_jmp(None, join);
+        b.add(Reg::R16, Reg::R16, 1);
+        b.bind(join);
+        b.li(Reg::R30, 256).st(Reg::R2, Reg::R30, 0).ld(Reg::R3, Reg::R30, 8);
+        b.add(Reg::R29, Reg::R29, 1);
+        b.br(CmpOp::Lt, Reg::R29, iters, top);
+        b.out(Reg::R1, 0).halt();
+        b.bind(f);
+        b.add(Reg::R9, Reg::R9, 1).jmp(f_ret);
+        b.bind(f_ret);
+        b.ret();
+        let program = b.build().unwrap();
+        let machine = || {
+            let cfg = EmuConfig { mem_words: 1024, max_call_depth: 8 };
+            let mut e = if pbs {
+                Emulator::with_pbs(program.clone(), cfg, PbsUnit::new(PbsConfig::default()))
+            } else {
+                Emulator::new(program.clone(), cfg)
+            };
+            for r in 0..32u32 {
+                let v = seed.rotate_left(7 * r) ^ u64::from(r);
+                e.set_reg(Reg::new(r).unwrap(), v);
+            }
+            e.set_reg(Reg::R29, 0);
+            e
+        };
+        let (mut oracle, mut decoded) = (machine(), machine());
+        for _ in 0..4_000 {
+            match (oracle.step(), decoded.step_decoded()) {
+                (Ok(Some(o)), Ok(Some(d))) => {
+                    prop_assert_eq!(d.pc, o.pc);
+                    prop_assert_eq!(d.branch, o.branch);
+                    prop_assert_eq!(d.mem_addr(), o.mem_addr);
+                }
+                (Ok(None), Ok(None)) => break,
+                (Err(o), Err(d)) => {
+                    prop_assert_eq!(d, o);
+                    break;
+                }
+                (o, d) => prop_assert!(false, "stream divergence: {:?} vs {:?}", o, d),
+            }
+        }
+        prop_assert_eq!(decoded.executed(), oracle.executed());
+        prop_assert_eq!(decoded.is_halted(), oracle.is_halted());
+        prop_assert_eq!(decoded.outputs_sorted(), oracle.outputs_sorted());
+        prop_assert_eq!(decoded.prob_consumed(), oracle.prob_consumed());
+        prop_assert_eq!(decoded.pbs_stats(), oracle.pbs_stats());
+        for r in 0..32u32 {
+            let r = Reg::new(r).unwrap();
+            prop_assert_eq!(decoded.reg(r), oracle.reg(r));
+        }
+        prop_assert_eq!(decoded.mem_word(32), oracle.mem_word(32));
     }
 
     #[test]
@@ -325,10 +410,10 @@ proptest! {
         let program = replay_workload(iters);
         match DynTrace::capture(&program, &cfg) {
             Err(e) => {
-                // Error paths agree with the fused engine…
+                // Error paths agree with the reference oracle…
                 prop_assert_eq!(
                     Err(e),
-                    Simulation::new(EngineKind::Fused).run(&program, &cfg).map(|_| ())
+                    Simulation::new(EngineKind::Reference).run(&program, &cfg).map(|_| ())
                 );
             }
             Ok(trace) => {
@@ -496,7 +581,7 @@ proptest! {
         // cycles >= instructions / width: the core cannot beat its width.
         let pi = probranch::workloads::Pi { samples: iters, seed: 7 };
         use probranch::workloads::Benchmark;
-        let r = probranch::pipeline::Simulation::new(probranch::pipeline::EngineKind::Fused).run(&pi.program(), &SimConfig::default()).unwrap();
+        let r = probranch::pipeline::Simulation::default().run(&pi.program(), &SimConfig::default()).unwrap();
         prop_assert!(r.timing.cycles >= r.timing.instructions / 4);
     }
 }
