@@ -12,8 +12,9 @@
 //! `--jobs N` selects the worker count of the parallel experiment
 //! engine (default: `PROBRANCH_JOBS`, else all available cores). The
 //! printed tables are byte-identical for every worker count — the
-//! default run performs **no wall-clock measurement at all**, so stdout
-//! stays byte-diffable across machines and worker counts.
+//! binary performs **no wall-clock measurement at all** (`figbench`
+//! times it from outside), so stdout stays byte-diffable across
+//! machines and worker counts.
 //!
 //! All timing sweeps share **one trace pool** for the whole run (an
 //! [`experiments::Context`]): Figures 1, 6, 7 and 8 revisit the same
@@ -23,27 +24,16 @@
 //! emulating, with stale/corrupt files falling back to capture. The
 //! printed tables are byte-identical with or without a (warm or cold)
 //! trace directory.
-//!
-//! `--emit-bench-json PATH` switches to throughput-benchmark mode: runs
-//! the `sim-throughput` sweep (fig6 grid; reference, replay and
-//! streamed-pair runs plus the shared-pool fig6+fig7 sweep), writes
-//! the measured-MIPS report as JSON to `PATH`, and prints the summary
-//! plus wall time to stderr. All timing lives behind this flag.
 
 use probranch_bench::experiments::{self, Engine, ExperimentScale};
-use probranch_bench::{service, throughput};
+use probranch_bench::service;
 use probranch_faults as faults;
 use probranch_harness::{Jobs, StrictViolation, SupervisedError, Supervision};
 
 struct Options {
     scale: ExperimentScale,
-    /// `--jobs`, when given.
-    jobs: Option<Jobs>,
-    /// `PROBRANCH_JOBS`, when set and `--jobs` is absent: the figure
-    /// and service runs fall back to it, the throughput bench does not.
-    env_jobs: Option<Jobs>,
+    jobs: Jobs,
     engine: Engine,
-    bench_json: Option<String>,
     trace_dir: Option<String>,
     trace_mem_budget: Option<usize>,
     fault_plan: Option<faults::FaultPlan>,
@@ -79,14 +69,7 @@ fn parse_scale(value: &str, source: &str) -> ExperimentScale {
 /// Parses a `--jobs` / `PROBRANCH_JOBS` value (0 means all cores),
 /// exiting with a usage error naming `source` on anything else.
 fn parse_jobs(value: &str, source: &str) -> Jobs {
-    let n: usize = value
-        .parse()
-        .unwrap_or_else(|_| usage(&format!("invalid job count `{value}` in {source}")));
-    if n == 0 {
-        Jobs::available()
-    } else {
-        Jobs::new(n)
-    }
+    Jobs::parse(value).unwrap_or_else(|| usage(&format!("invalid job count `{value}` in {source}")))
 }
 
 /// A non-empty environment variable's value.
@@ -98,7 +81,6 @@ fn parse_args() -> Options {
     let mut scale: Option<ExperimentScale> = None;
     let mut jobs: Option<Jobs> = None;
     let mut engine: Option<Engine> = None;
-    let mut bench_json: Option<String> = None;
     let mut trace_dir: Option<String> = None;
     let mut trace_mem_budget: Option<usize> = None;
     let mut fault_plan: Option<faults::FaultPlan> = None;
@@ -117,9 +99,8 @@ fn parse_args() -> Options {
                 strict_traces = true;
                 continue;
             }
-            "--scale" | "--jobs" | "--engine" | "--emit-bench-json" | "--trace-dir"
-            | "--trace-mem-budget" | "--fault-plan" | "--cell-retries" | "--cell-deadline-ms"
-            | "--serve" => {
+            "--scale" | "--jobs" | "--engine" | "--trace-dir" | "--trace-mem-budget"
+            | "--fault-plan" | "--cell-retries" | "--cell-deadline-ms" | "--serve" => {
                 let v = args
                     .next()
                     .unwrap_or_else(|| usage(&format!("{arg} needs a value")));
@@ -128,7 +109,6 @@ fn parse_args() -> Options {
             _ if arg.starts_with("--scale=")
                 || arg.starts_with("--jobs=")
                 || arg.starts_with("--engine=")
-                || arg.starts_with("--emit-bench-json=")
                 || arg.starts_with("--trace-dir=")
                 || arg.starts_with("--trace-mem-budget=")
                 || arg.starts_with("--fault-plan=")
@@ -162,12 +142,6 @@ fn parse_args() -> Options {
                     Engine::parse(&value)
                         .unwrap_or_else(|| usage(&format!("unknown engine `{value}`"))),
                 );
-            }
-            "--emit-bench-json" => {
-                if bench_json.is_some() {
-                    usage("--emit-bench-json given twice");
-                }
-                bench_json = Some(value);
             }
             "--trace-dir" => {
                 if trace_dir.is_some() {
@@ -234,16 +208,12 @@ fn parse_args() -> Options {
     }
     let scale =
         scale.or_else(|| env_value("PROBRANCH_SCALE").map(|v| parse_scale(&v, "PROBRANCH_SCALE")));
-    let env_jobs = match jobs {
-        Some(_) => None,
-        None => env_value("PROBRANCH_JOBS").map(|v| parse_jobs(v.trim(), "PROBRANCH_JOBS")),
-    };
+    let jobs = jobs
+        .or_else(|| env_value("PROBRANCH_JOBS").map(|v| parse_jobs(v.trim(), "PROBRANCH_JOBS")));
     Options {
         scale: scale.unwrap_or(ExperimentScale::Bench),
-        jobs,
-        env_jobs,
+        jobs: jobs.unwrap_or_else(Jobs::available),
         engine: engine.unwrap_or_default(),
-        bench_json,
         trace_dir,
         trace_mem_budget,
         fault_plan,
@@ -255,30 +225,13 @@ fn parse_args() -> Options {
 }
 
 fn usage(error: &str) -> ! {
-    let text = "usage: figures [--scale smoke|bench|paper] [--jobs N]\n               [--engine replay|reference]\n               [--trace-dir DIR] [--trace-mem-budget BYTES]\n               [--fault-plan SPEC] [--strict-traces]\n               [--cell-retries N] [--cell-deadline-ms MS]\n               [--emit-bench-json PATH] [--serve ADDR]\n       --fault-plan SPEC: arm seeded failpoints for the run, e.g.\n        `seed=7,persist.write=0.5x3,cell.panic=0.2` (sites:\n        persist.write/.enospc/.short/.fsync/.rename, mmap.load,\n        capture, capture.block (block-compiled capture degrades to the\n        interpreter), cell.panic, cell.delay, cancel.spurious,\n        serve.accept/.read/.write/.drop; probability in [0,1],\n        optional xCOUNT budget). Decisions are pure functions of\n        (seed, site, salt), so a plan misbehaves identically across\n        reruns and worker counts. PROBRANCH_FAULTS holds a plan when\n        the flag is absent. The run either survives with\n        byte-identical stdout or exits 3 with a structured error\n        naming the exhausted cell.\n       --strict-traces: turn every degradation path (stale rejection,\n        quarantine, persistence shutdown, engine fallback) into a hard\n        structured error instead of self-healing.\n       --cell-retries N: extra attempts per supervised cell\n        (default 3: requested engine twice, then reference).\n       --cell-deadline-ms MS: per-cell deadline; the simulation\n        engines poll a cancel token per chunk, so an overrunning cell\n        is cooperatively cancelled at its next poll point (a\n        structured DeadlineExceeded failure feeding the retry\n        cascade). Bodies that never poll still complete and are only\n        flagged on stderr.\n       (or set PROBRANCH_SCALE / PROBRANCH_JOBS, validated like the\n        flags; default: bench scale, all cores; 0 jobs means all\n        cores)\n       --engine: simulation engine for the timing sweeps (default:\n        replay — emulate each workload once per (workload, seed, PBS)\n        key into a run-wide trace pool shared by every sweep, and\n        re-time the pooled trace for every predictor/core/filter cell;\n        reference re-simulates every cell through the independent\n        Inst-level oracle, for differential debugging). Both print\n        byte-identical tables.\n       --trace-dir DIR: persist captured traces under DIR, keyed by a\n        content hash of (workload, seed derivation, PBS/emulator\n        config, ISA version); later runs memory-map the files instead\n        of emulating (zero-copy record streams). Stale or corrupt files\n        fall back to capture; orphaned writer temp files and old\n        quarantined files are swept on open. stdout stays\n        byte-identical with or without the flag.\n       --trace-mem-budget BYTES: bound the in-memory trace pool\n        (optional k/m/g suffix, e.g. 64m). Over budget, the coldest\n        pooled traces are demoted to their mmap-backed persisted form\n        (with --trace-dir) or evicted and re-captured on next use.\n        stdout stays byte-identical for any budget.\n       --emit-bench-json PATH: run the sim-throughput sweep instead of\n        the figures, writing measured MIPS per cell (reference, replay\n        and streamed-pair runs, per-key trace-capture overhead, plus\n        the shared-pool fig6+fig7 sweep aggregate) to PATH (serial\n        unless --jobs is given; all wall-clock timing lives here)\n       --serve ADDR: run as the resilient sweep service instead of a\n        one-shot sweep — bind ADDR (e.g. 127.0.0.1:7633), answer\n        probranch-client requests over one shared trace pool with\n        admission control, request coalescing and per-request\n        cancellation deadlines; SIGINT/SIGTERM or a `shutdown` request\n        drains in-flight sweeps, flushes pending demotions, prints the\n        service counters and exits 0. Each section's bytes match the\n        in-process run exactly.";
+    let text = "usage: figures [--scale smoke|bench|paper] [--jobs N]\n               [--engine replay|reference]\n               [--trace-dir DIR] [--trace-mem-budget BYTES]\n               [--fault-plan SPEC] [--strict-traces]\n               [--cell-retries N] [--cell-deadline-ms MS]\n               [--serve ADDR]\n       --fault-plan SPEC: arm seeded failpoints for the run, e.g.\n        `seed=7,persist.write=0.5x3,cell.panic=0.2` (sites:\n        persist.write/.enospc/.short/.fsync/.rename, mmap.load,\n        capture, capture.block (block-compiled capture degrades to the\n        interpreter), cell.panic, cell.delay, cancel.spurious,\n        serve.accept/.read/.write/.drop; probability in [0,1],\n        optional xCOUNT budget). Decisions are pure functions of\n        (seed, site, salt), so a plan misbehaves identically across\n        reruns and worker counts. PROBRANCH_FAULTS holds a plan when\n        the flag is absent. The run either survives with\n        byte-identical stdout or exits 3 with a structured error\n        naming the exhausted cell.\n       --strict-traces: turn every degradation path (stale rejection,\n        quarantine, persistence shutdown, engine fallback) into a hard\n        structured error instead of self-healing.\n       --cell-retries N: extra attempts per supervised cell\n        (default 3: requested engine twice, then reference).\n       --cell-deadline-ms MS: per-cell deadline; the simulation\n        engines poll a cancel token per chunk, so an overrunning cell\n        is cooperatively cancelled at its next poll point (a\n        structured DeadlineExceeded failure feeding the retry\n        cascade). Bodies that never poll still complete and are only\n        flagged on stderr.\n       (or set PROBRANCH_SCALE / PROBRANCH_JOBS, validated like the\n        flags; default: bench scale, all cores; 0 jobs means all\n        cores)\n       --engine: simulation engine for the timing sweeps (default:\n        replay — emulate each workload once per (workload, seed, PBS)\n        key into a run-wide trace pool shared by every sweep, and\n        re-time the pooled trace for every predictor/core/filter cell;\n        reference re-simulates every cell through the independent\n        Inst-level oracle, for differential debugging). Both print\n        byte-identical tables.\n       --trace-dir DIR: persist captured traces under DIR, keyed by a\n        content hash of (workload, seed derivation, PBS/emulator\n        config, ISA version); later runs memory-map the files instead\n        of emulating (zero-copy record streams). Stale or corrupt files\n        fall back to capture; orphaned writer temp files and old\n        quarantined files are swept on open. stdout stays\n        byte-identical with or without the flag.\n       --trace-mem-budget BYTES: bound the in-memory trace pool\n        (optional k/m/g suffix, e.g. 64m). Over budget, the coldest\n        pooled traces are demoted to their mmap-backed persisted form\n        (with --trace-dir) or evicted and re-captured on next use.\n        stdout stays byte-identical for any budget.\n       --serve ADDR: run as the resilient sweep service instead of a\n        one-shot sweep — bind ADDR (e.g. 127.0.0.1:7633), answer\n        probranch-client requests over one shared trace pool with\n        admission control, request coalescing and per-request\n        cancellation deadlines; SIGINT/SIGTERM or a `shutdown` request\n        drains in-flight sweeps, flushes pending demotions, prints the\n        service counters and exits 0. Each section's bytes match the\n        in-process run exactly.";
     if error.is_empty() {
         println!("{text}");
         std::process::exit(0);
     }
     eprintln!("error: {error}\n\n{text}");
     std::process::exit(2);
-}
-
-/// Throughput-benchmark mode: the only code path in this binary allowed
-/// to read the wall clock.
-fn run_bench_json(path: &str, scale: ExperimentScale, jobs: Option<Jobs>) {
-    // Serial by default: per-cell wall times on an otherwise idle
-    // machine, not contention artifacts.
-    let jobs = jobs.unwrap_or_else(Jobs::serial);
-    eprintln!("sim-throughput: {} scale, {jobs} jobs", scale.name());
-    let t0 = std::time::Instant::now();
-    let report = throughput::measure(scale, jobs);
-    std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprint!("{}", report.summary());
-    eprintln!(
-        "wrote {path}; total wall time {:.1}s",
-        t0.elapsed().as_secs_f64()
-    );
 }
 
 /// The full figure run, in paper order — the same
@@ -335,12 +288,8 @@ fn run_serve(addr: &str, jobs: Jobs, ctx: &experiments::Context) {
 
 fn main() {
     let opts = parse_args();
-    if let Some(path) = &opts.bench_json {
-        run_bench_json(path, opts.scale, opts.jobs);
-        return;
-    }
     let scale = opts.scale;
-    let jobs = opts.jobs.or(opts.env_jobs).unwrap_or_else(Jobs::available);
+    let jobs = opts.jobs;
     let engine = opts.engine;
     let mut supervision = Supervision::default_robust();
     if let Some(r) = opts.cell_retries {

@@ -47,13 +47,24 @@ pub enum ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Reads `PROBRANCH_SCALE` (`smoke` / `bench` / `paper`), defaulting
-    /// to `Bench`.
+    /// Reads `PROBRANCH_SCALE` through [`ExperimentScale::parse`];
+    /// unset or empty means `Bench`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable and its value, when it is set to
+    /// anything else: a typo never silently runs at bench scale.
     pub fn from_env() -> ExperimentScale {
-        std::env::var("PROBRANCH_SCALE")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or(ExperimentScale::Bench)
+        Self::from_var(std::env::var("PROBRANCH_SCALE").ok().as_deref())
+    }
+
+    fn from_var(value: Option<&str>) -> ExperimentScale {
+        match value.filter(|v| !v.is_empty()) {
+            None => ExperimentScale::Bench,
+            Some(v) => {
+                Self::parse(v).unwrap_or_else(|| panic!("unknown scale `{v}` in PROBRANCH_SCALE"))
+            }
+        }
     }
 
     /// Parses a scale name as accepted by `PROBRANCH_SCALE` and the
@@ -1341,6 +1352,42 @@ mod tests {
             );
             assert!(r.tage_pbs <= r.tage_base + 0.05, "{}: {r:?}", r.name);
         }
+    }
+
+    #[test]
+    fn fig6_then_fig7_capture_each_key_once_and_reuse_the_grid() {
+        let ctx = Context::new();
+        let (scale, jobs) = (ExperimentScale::Smoke, Jobs::default());
+        fig6_with_ctx(scale, jobs, Engine::Replay, &ctx);
+        fig7_with_ctx(scale, jobs, Engine::Replay, &ctx);
+        // Every benchmark without and with PBS, each emulated once.
+        assert_eq!((ctx.keys(), ctx.captures(), ctx.disk_loads()), (16, 16, 0));
+        assert_eq!(ctx.grid_hits(), 1, "fig7 must re-serve fig6's grid");
+        assert_eq!((ctx.demotions(), ctx.evictions()), (0, 0));
+        assert!(ctx.peak_bytes() > 0);
+        let store = ctx.traces();
+        assert_eq!((store.stale_rejected(), store.quarantined()), (0, 0));
+    }
+
+    #[test]
+    fn scales_parse_by_name() {
+        for scale in [
+            ExperimentScale::Smoke,
+            ExperimentScale::Bench,
+            ExperimentScale::Paper,
+        ] {
+            assert_eq!(ExperimentScale::parse(scale.name()), Some(scale));
+            assert_eq!(ExperimentScale::from_var(Some(scale.name())), scale);
+        }
+        assert_eq!(ExperimentScale::parse("papr"), None);
+        assert_eq!(ExperimentScale::from_var(None), ExperimentScale::Bench);
+        assert_eq!(ExperimentScale::from_var(Some("")), ExperimentScale::Bench);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown scale `papr` in PROBRANCH_SCALE")]
+    fn a_bad_scale_variable_panics_instead_of_running_at_bench_scale() {
+        ExperimentScale::from_var(Some("papr"));
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub use supervise::{
 ///
 /// The value is always at least 1; [`Jobs::from_env`] (also
 /// `Default::default()`) honours the `PROBRANCH_JOBS` environment
-/// variable (`0` or unset: all available cores), which is how the CI
-/// matrix forces a serial run next to the parallel one.
+/// variable (`0`, empty or unset: all available cores), which is how
+/// the CI matrix forces a serial run next to the parallel one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Jobs(usize);
 
@@ -86,15 +86,32 @@ impl Jobs {
         Jobs::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
-    /// Reads `PROBRANCH_JOBS`; `0`, unset, or unparsable means
-    /// [`Jobs::available`].
+    /// Parses a worker count as `figures --jobs` and `PROBRANCH_JOBS`
+    /// take it: a decimal number, `0` meaning [`Jobs::available`].
+    pub fn parse(value: &str) -> Option<Jobs> {
+        match value.parse::<usize>().ok()? {
+            0 => Some(Jobs::available()),
+            n => Some(Jobs(n)),
+        }
+    }
+
+    /// Reads `PROBRANCH_JOBS` through [`Jobs::parse`]; unset or empty
+    /// means [`Jobs::available`].
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable and its value, when it is set to
+    /// anything [`Jobs::parse`] rejects: a typo never silently runs on
+    /// all cores.
     pub fn from_env() -> Jobs {
-        match std::env::var("PROBRANCH_JOBS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            Some(n) if n > 0 => Jobs(n),
-            _ => Jobs::available(),
+        Jobs::from_var(std::env::var("PROBRANCH_JOBS").ok().as_deref())
+    }
+
+    fn from_var(value: Option<&str>) -> Jobs {
+        match value.map(str::trim).filter(|v| !v.is_empty()) {
+            None => Jobs::available(),
+            Some(v) => Jobs::parse(v)
+                .unwrap_or_else(|| panic!("invalid job count `{v}` in PROBRANCH_JOBS")),
         }
     }
 
@@ -612,8 +629,7 @@ impl<K: Eq + Hash> TraceCache<K> {
 /// trace, every later sweep replays the `Arc`-shared copy, and the
 /// context counts what actually happened ([`captures`]
 /// (EngineContext::captures), [`disk_loads`](EngineContext::disk_loads))
-/// so the throughput report can verify each emulation key was emulated
-/// **exactly once** per run.
+/// so a run can verify each emulation key was emulated **exactly once**.
 ///
 /// With a trace directory ([`EngineContext::with_trace_dir`]) the pool
 /// extends across *processes*: [`get_or_capture`]
@@ -1151,30 +1167,6 @@ impl<K: Eq + Hash> EngineContext<K> {
     }
 }
 
-/// Like [`run_cells`], additionally measuring each cell's wall-clock
-/// execution time — the backbone of the throughput benchmark.
-///
-/// The *results* keep the engine's determinism guarantee (cell-index
-/// order, scheduling-independent); the attached [`Duration`]s are
-/// measurements and naturally vary run to run, so anything downstream of
-/// them must stay off the byte-diffable output paths. Pass
-/// [`Jobs::serial`] for clean per-cell numbers — with concurrent workers
-/// the durations include contention on shared cores.
-///
-/// [`Duration`]: std::time::Duration
-pub fn run_cells_timed<T, R, F>(cells: &[T], jobs: Jobs, run: F) -> Vec<(R, std::time::Duration)>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    run_cells(cells, jobs, |cell| {
-        let t0 = std::time::Instant::now();
-        let result = run(cell);
-        (result, t0.elapsed())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1213,13 +1205,21 @@ mod tests {
     }
 
     #[test]
-    fn timed_runs_keep_results_in_order_and_measure_something() {
-        let cells: Vec<u64> = (0..16).collect();
-        let timed = run_cells_timed(&cells, Jobs::new(4), |&c| c * 3);
-        let plain: Vec<u64> = timed.iter().map(|(r, _)| *r).collect();
-        assert_eq!(plain, run_cells(&cells, Jobs::serial(), |&c| c * 3));
-        // Durations are measurements, not zero-sized placeholders.
-        assert_eq!(timed.len(), 16);
+    fn job_counts_parse_like_the_figures_flag() {
+        assert_eq!(Jobs::parse("3"), Some(Jobs::new(3)));
+        assert_eq!(Jobs::parse("0"), Some(Jobs::available()));
+        for bad in ["four", "", "-1", " 2", "2x"] {
+            assert_eq!(Jobs::parse(bad), None, "{bad:?}");
+        }
+        assert_eq!(Jobs::from_var(None), Jobs::available());
+        assert_eq!(Jobs::from_var(Some(" ")), Jobs::available());
+        assert_eq!(Jobs::from_var(Some(" 2 ")), Jobs::new(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid job count `four` in PROBRANCH_JOBS")]
+    fn a_bad_jobs_variable_panics_instead_of_using_all_cores() {
+        Jobs::from_var(Some("four"));
     }
 
     #[test]

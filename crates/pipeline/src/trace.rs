@@ -1266,9 +1266,8 @@ impl DynTrace {
     }
 
     /// Heap bytes held by the trace (record streams, timing table
-    /// and architectural results) — the peak-memory figure the
-    /// throughput report surfaces per cell, and the number the trace
-    /// pool's memory budget meters. Mapped record streams count 0
+    /// and architectural results) — the number the trace pool's memory
+    /// budget meters. Mapped record streams count 0
     /// (their pages are the OS page cache's, reclaimable at will), so
     /// demoting a trace to disk genuinely shrinks its pooled footprint
     /// to the timing table plus derived request streams.

@@ -70,8 +70,7 @@ impl SweepOutcome {
     }
 }
 
-/// Service counters, reported at drain and exported into the
-/// throughput schema (`probranch-throughput/7`).
+/// Service counters, reported at drain.
 #[derive(Debug, Default)]
 struct Stats {
     requests: AtomicU64,
@@ -374,6 +373,7 @@ mod tests {
     use super::*;
     use crate::client;
     use crate::protocol::PROTOCOL;
+    use faults::FaultPlan;
 
     fn canned(body: &str) -> impl Fn(&SweepRequest) -> SweepOutcome + Sync + '_ {
         move |req| {
@@ -395,33 +395,42 @@ mod tests {
         })
     }
 
-    /// Binds a server on an ephemeral port, runs it on a scoped
-    /// thread, runs `body` against the address, then drains.
-    fn with_server<F>(config: ServerConfig, handler_body: &'static str, body: F) -> StatsSnapshot
+    /// Binds a server on an ephemeral port with `plan` installed, runs
+    /// it on a scoped thread, runs `body` against the address, then
+    /// drains. A panicking body stops the server before the panic
+    /// resumes, so a failing test fails instead of hanging the scope.
+    fn with_server<F>(plan: FaultPlan, handler_body: &'static str, body: F) -> StatsSnapshot
     where
         F: FnOnce(std::net::SocketAddr),
     {
-        let server = Server::bind("127.0.0.1:0", config).expect("bind");
+        let _scope = faults::ScopedPlan::install(plan);
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
         let addr = server.local_addr().expect("addr");
-        let mut snapshot = StatsSnapshot::default();
         std::thread::scope(|scope| {
             let server = &server;
             let run = scope.spawn(move || server.run(canned(handler_body)).expect("run"));
-            assert!(client::wait_ready(addr, Duration::from_secs(5)));
-            body(addr);
-            // The body may have drained the server already; a failed
-            // shutdown request then just means it is gone.
-            if let Ok(resp) = client::request(addr, &Request::Shutdown, Duration::from_secs(5)) {
-                assert_eq!(resp.status, Status::Ok);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                assert!(client::wait_ready(addr, Duration::from_secs(5)));
+                body(addr);
+                // The body may have drained the server already; a
+                // failed shutdown request then just means it is gone.
+                if let Ok(resp) = client::request(addr, &Request::Shutdown, Duration::from_secs(5))
+                {
+                    assert_eq!(resp.status, Status::Ok);
+                }
+            }));
+            if let Err(payload) = outcome {
+                server.shutdown_handle().store(true, Ordering::Release);
+                let _ = run.join();
+                std::panic::resume_unwind(payload);
             }
-            snapshot = run.join().expect("server thread");
-        });
-        snapshot
+            run.join().expect("server thread")
+        })
     }
 
     #[test]
     fn serves_sweeps_pings_and_bad_requests() {
-        let stats = with_server(ServerConfig::default(), "body", |addr| {
+        let stats = with_server(FaultPlan::default(), "body", |addr| {
             let resp =
                 client::request(addr, &sweep("fig6"), Duration::from_secs(5)).expect("sweep");
             assert_eq!(resp.status, Status::Ok);
@@ -442,7 +451,7 @@ mod tests {
 
     #[test]
     fn draining_rejects_new_sweeps_with_shutting_down() {
-        with_server(ServerConfig::default(), "body", |addr| {
+        with_server(FaultPlan::default(), "body", |addr| {
             let resp = client::request(addr, &Request::Shutdown, Duration::from_secs(5))
                 .expect("shutdown");
             assert_eq!(resp.status, Status::Ok);
@@ -466,6 +475,9 @@ mod tests {
             max_inflight: 1,
             ..ServerConfig::default()
         };
+        // The fault plan is process-global: hold a fault-free one so
+        // the fault test cannot drop this test's connections.
+        let _scope = faults::ScopedPlan::install(FaultPlan::default());
         let server = Server::bind("127.0.0.1:0", config).expect("bind");
         let addr = server.local_addr().expect("addr");
         std::thread::scope(|scope| {
@@ -516,6 +528,9 @@ mod tests {
             max_inflight: 8,
             ..ServerConfig::default()
         };
+        // The fault plan is process-global: hold a fault-free one so
+        // the fault test cannot drop this test's connections.
+        let _scope = faults::ScopedPlan::install(FaultPlan::default());
         let server = Server::bind("127.0.0.1:0", config).expect("bind");
         let addr = server.local_addr().expect("addr");
         std::thread::scope(|scope| {
@@ -575,12 +590,8 @@ mod tests {
     fn injected_serve_faults_are_survivable_via_client_retry() {
         // serve.accept drops the first two connections; the client's
         // retry layer heals to a byte-identical response.
-        let _scope = faults::ScopedPlan::install(faults::FaultPlan::seeded(3).arm_capped(
-            faults::Site::ServeAccept,
-            1.0,
-            2,
-        ));
-        let stats = with_server(ServerConfig::default(), "body", |addr| {
+        let plan = FaultPlan::seeded(3).arm_capped(faults::Site::ServeAccept, 1.0, 2);
+        let stats = with_server(plan, "body", |addr| {
             let resp = client::request_with_retry(addr, &sweep("fig6"), Duration::from_secs(5), 5)
                 .expect("retries heal injected drops");
             assert_eq!(resp.status, Status::Ok);

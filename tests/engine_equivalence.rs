@@ -22,6 +22,7 @@ use probranch::isa::Program;
 use probranch::pbs::PbsConfig;
 use probranch::pipeline::{
     DynTrace, EmuError, EngineKind, OooConfig, PredictorChoice, SimConfig, SimReport, Simulation,
+    TraceStream,
 };
 use probranch::workloads::{BenchmarkId, Scale};
 
@@ -101,6 +102,28 @@ fn replay_engine_matches_reference_on_the_fig6_grid() {
     });
     for (cell, (reference, replay)) in cells.iter().zip(&outcomes) {
         assert_reports_equal(cell, replay, reference);
+    }
+}
+
+/// Every fig6 emulation key captures block-compiled at the scales the
+/// figures run, so a key silently degrading to the per-instruction
+/// interpreter fails here rather than only showing up as a slower
+/// run. (This binary arms no fault plan, so `capture.block` never
+/// fires.)
+#[test]
+fn every_fig6_key_captures_block_compiled() {
+    for scale in [Scale::Smoke, Scale::Bench] {
+        for &workload in &BenchmarkId::ALL {
+            for pbs in [false, true] {
+                let cell = Cell::new(workload, PredictorChoice::Tournament, pbs, 0);
+                let program = workload.build(scale, cell.workload_seed()).program();
+                let cfg = config_for(&cell, OooConfig::default(), false);
+                assert!(
+                    TraceStream::new(&program, &cfg).is_block_compiled(),
+                    "{workload:?} pbs={pbs} at {scale:?} scale captures through the interpreter"
+                );
+            }
+        }
     }
 }
 
